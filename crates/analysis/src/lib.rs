@@ -6,9 +6,9 @@
 //! linker claims are correct; this crate *proves* the claims before (or
 //! instead of) spending those cycles. It offers three entry points:
 //!
-//! * the `dvs-lint` binary — sweeps benchmarks × voltages and exits
-//!   non-zero on any deny-severity finding (`dvs-verify` in `dvs-bench`
-//!   runs the same registry down the incremental voltage ladder);
+//! * the `dvs-verify` binary in `dvs-bench` — runs the standard registry
+//!   over bench10 down the incremental voltage ladder and exits 1 on any
+//!   deny-severity finding;
 //! * [`analyze_image`] / [`analyze_placement`] — called by the engine's
 //!   opt-in validation hook and by other crates' tests (`_recorded`
 //!   variants time each pass through dvs-obs);
@@ -63,7 +63,7 @@ pub use lints::{
     analyze_image, analyze_image_recorded, analyze_placement, analyze_placement_recorded,
     check_ffw_windows, has_deny, AnalysisInput, Lint, LintRegistry,
 };
-pub use report::{render_json, render_json_envelope, render_text, LintMeta, Report};
+pub use report::{render_json_envelope, render_text, LintMeta, Report};
 pub use solver::{solve, DataflowAnalysis, Direction, Interval, JoinSemiLattice, Reach, Solution};
 
 // The diagnostic vocabulary, defined next to `LinkedImage::verify`.

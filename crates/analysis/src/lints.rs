@@ -407,8 +407,8 @@ impl LintRegistry {
         }
     }
 
-    /// Only the dataflow verification passes — the set the engine's
-    /// `verify_images` hook runs when the full registry is not wanted.
+    /// Only the three dataflow verification passes, without the local
+    /// placement checks ([`LintRegistry::standard`] runs them all).
     pub fn verification() -> Self {
         LintRegistry {
             lints: vec![

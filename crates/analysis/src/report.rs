@@ -2,9 +2,10 @@
 //!
 //! A [`Report`] groups the findings of one analysis run under a subject
 //! label (typically `benchmark@voltage/seed`); [`render_text`] and
-//! [`render_json`] turn a batch of reports into the two output formats
-//! the `dvs-lint` CLI offers. JSON is emitted by hand — the workspace's
-//! vendored serde speaks only its internal binary format.
+//! [`render_json_envelope`] turn a batch of reports into the two output
+//! formats of the sweep tools (`dvs-verify`, `dvs-diff`). JSON is emitted
+//! by hand — the workspace's vendored serde speaks only its internal
+//! binary format.
 
 use dvs_linker::{json_escape, Diagnostic, Severity};
 
@@ -63,12 +64,12 @@ pub fn render_text(reports: &[Report]) -> String {
     out
 }
 
-/// Renders reports as a single JSON document:
+/// Renders the envelope's body, one JSON object:
 ///
 /// ```json
 /// {"reports":[{"subject":"…","diagnostics":[…]}],"denies":0,"warns":0}
 /// ```
-pub fn render_json(reports: &[Report]) -> String {
+fn render_json(reports: &[Report]) -> String {
     let mut out = String::from("{\"reports\":[");
     for (i, report) in reports.iter().enumerate() {
         if i > 0 {
@@ -104,12 +105,12 @@ pub struct LintMeta {
 /// Renders reports inside a versioned envelope:
 ///
 /// ```json
-/// {"schema":"dvs-lint/1","lints":[{"name":"…","level":"deny"}],
+/// {"schema":"dvs-verify/1","lints":[{"name":"…","level":"deny"}],
 ///  "reports":[…],"denies":0,"warns":0}
 /// ```
 ///
 /// `schema` identifies the producing tool and format revision
-/// (`dvs-lint/1`, `dvs-verify/1`), mirroring `dvs-profile/1`; `lints`
+/// (`dvs-verify/1`, `dvs-diff/1`), mirroring `dvs-profile/1`; `lints`
 /// names every pass that ran with its configured level, so a consumer
 /// can distinguish "clean" from "not checked".
 pub fn render_json_envelope(schema: &str, lints: &[LintMeta], reports: &[Report]) -> String {
@@ -186,8 +187,8 @@ mod tests {
                 level: "warn",
             },
         ];
-        let json = render_json_envelope("dvs-lint/1", &lints, &sample());
-        assert!(json.starts_with("{\"schema\":\"dvs-lint/1\",\"lints\":["));
+        let json = render_json_envelope("dvs-verify/1", &lints, &sample());
+        assert!(json.starts_with("{\"schema\":\"dvs-verify/1\",\"lints\":["));
         assert!(json.contains("{\"name\":\"chunk-containment\",\"level\":\"deny\"}"));
         assert!(json.contains("{\"name\":\"cfg-reachability\",\"level\":\"warn\"}"));
         assert!(json.contains("\"reports\":["));

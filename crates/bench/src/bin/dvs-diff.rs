@@ -21,45 +21,18 @@
 //! Any divergence is shrunk to a minimal reproducer and rendered into
 //! the diagnostic as a ready-to-paste `#[test]`.
 //!
-//! Exit codes: `0` all oracles clean, `1` at least one deny-severity
+//! Exit codes: `0` no deny finding, `1` at least one deny-severity
 //! finding, `2` usage error.
 
 use std::process::ExitCode;
 
-use dvs_analysis::{has_deny, render_json, render_text, Report};
-use dvs_diff::{metamorphic, oracles};
-use dvs_sram::FaultModel;
-use dvs_workloads::Benchmark;
+use dvs_analysis::Report;
+use dvs_bench::sweep::{Flag, SweepArgs, Tool};
+use dvs_diff::{metamorphic, oracles, LINTS};
 
-struct Options {
-    voltages: Vec<u32>,
-    benchmarks: Vec<Benchmark>,
-    models: Vec<FaultModel>,
-    seed: u64,
-    stream_len: usize,
-    store_max_bytes: u64,
-    json: bool,
-    inject_divergence: bool,
-}
-
-impl Default for Options {
-    fn default() -> Self {
-        Options {
-            voltages: vec![760, 600, 480, 400],
-            benchmarks: Benchmark::ALL.to_vec(),
-            models: FaultModel::ALL.to_vec(),
-            seed: 0,
-            stream_len: 2_000,
-            // One byte evicts after every save: maximal eviction churn
-            // for the persistence-identity family.
-            store_max_bytes: 1,
-            json: false,
-            inject_divergence: false,
-        }
-    }
-}
-
-const USAGE: &str = "usage: dvs-diff [options]
+const TOOL: Tool = Tool {
+    name: "dvs-diff",
+    usage: "usage: dvs-diff [options]
   --voltages LIST   comma-separated mV points for the monotonicity sweep
                     (default 760,600,480,400)
   --benchmarks LIST comma-separated benchmark names (default: all ten)
@@ -70,94 +43,39 @@ const USAGE: &str = "usage: dvs-diff [options]
   --store-max-bytes N
                     store size cap for the capped persistence variants
                     (default 1: evict after every save)
-  --json            emit one JSON document instead of text
+  --json            emit one dvs-diff/1 JSON document instead of text
   --inject-divergence
                     plant a fault under word-disable and diff it against
                     the clean run (self-test: the harness must flag it,
                     shrink it, and exit 1)
-  --help            print this help";
+  --help            print this help
+exit: 0 no deny finding, 1 a deny finding, 2 usage error",
+    flags: &[
+        Flag::Benchmarks,
+        Flag::Voltages,
+        Flag::Models,
+        Flag::Seed,
+        Flag::Json,
+    ],
+};
 
-fn parse_benchmark(name: &str) -> Option<Benchmark> {
-    Benchmark::ALL.into_iter().find(|b| {
-        let full = b.name();
-        full.eq_ignore_ascii_case(name)
-            || full
-                .rsplit('.')
-                .next()
-                .is_some_and(|short| short.eq_ignore_ascii_case(name))
-    })
+/// Versioned schema tag of the `--json` envelope.
+const DIFF_SCHEMA: &str = "dvs-diff/1";
+
+/// The tool's own flags.
+struct Options {
+    stream_len: usize,
+    store_max_bytes: u64,
+    inject_divergence: bool,
 }
 
-fn parse_args(args: &[String]) -> Result<Options, String> {
-    let mut opts = Options::default();
-    let mut it = args.iter();
-    while let Some(arg) = it.next() {
-        let mut value = |flag: &str| {
-            it.next()
-                .cloned()
-                .ok_or_else(|| format!("{flag} expects a value"))
-        };
-        match arg.as_str() {
-            "--voltages" => {
-                opts.voltages = value("--voltages")?
-                    .split(',')
-                    .map(|v| v.trim().parse::<u32>().map_err(|_| format!("bad mV: {v}")))
-                    .collect::<Result<_, _>>()?;
-            }
-            "--benchmarks" => {
-                opts.benchmarks = value("--benchmarks")?
-                    .split(',')
-                    .map(|n| {
-                        parse_benchmark(n.trim()).ok_or_else(|| format!("unknown benchmark: {n}"))
-                    })
-                    .collect::<Result<_, _>>()?;
-            }
-            "--models" => {
-                opts.models = value("--models")?
-                    .split(',')
-                    .map(|n| {
-                        FaultModel::parse(n.trim()).ok_or_else(|| format!("unknown model: {n}"))
-                    })
-                    .collect::<Result<_, _>>()?;
-            }
-            "--seed" => {
-                opts.seed = value("--seed")?
-                    .parse()
-                    .map_err(|_| "--seed expects an integer".to_string())?;
-            }
-            "--stream-len" => {
-                opts.stream_len = value("--stream-len")?
-                    .parse()
-                    .map_err(|_| "--stream-len expects an integer".to_string())?;
-            }
-            "--store-max-bytes" => {
-                opts.store_max_bytes = value("--store-max-bytes")?
-                    .parse()
-                    .map_err(|_| "--store-max-bytes expects an integer".to_string())?;
-            }
-            "--json" => opts.json = true,
-            "--inject-divergence" => opts.inject_divergence = true,
-            "--help" | "-h" => return Err(String::new()),
-            other => return Err(format!("unknown flag {other}")),
-        }
-    }
-    if opts.voltages.is_empty()
-        || opts.benchmarks.is_empty()
-        || opts.models.is_empty()
-        || opts.stream_len == 0
-    {
-        return Err("nothing to do: empty voltage, benchmark, model or stream".to_string());
-    }
-    Ok(opts)
-}
-
-fn run(opts: &Options) -> Vec<Report> {
+fn run(args: &SweepArgs, opts: &Options) -> Vec<Report> {
     let mut reports = Vec::new();
 
     // Stream-level families, one seed (and therefore one synthetic
     // stream) per benchmark so the sweep covers ten distinct streams.
-    for (i, bench) in opts.benchmarks.iter().enumerate() {
-        let seed = opts.seed.wrapping_add(i as u64);
+    for (i, bench) in args.benchmarks.iter().enumerate() {
+        let seed = args.seed.wrapping_add(i as u64);
         reports.push(Report::new(
             format!("{}@clean-map/seed{seed}", bench.name()),
             oracles::clean_map_equivalence(seed, opts.stream_len),
@@ -174,14 +92,14 @@ fn run(opts: &Options) -> Vec<Report> {
             format!("{}@fault-addition/seed{seed}", bench.name()),
             metamorphic::fault_addition(seed, opts.stream_len),
         ));
-        for &model in &opts.models {
+        for &model in &args.models {
             reports.push(Report::new(
                 format!(
                     "{}@voltage-monotone/{}/seed{seed}",
                     bench.name(),
                     model.name()
                 ),
-                metamorphic::voltage_monotonicity(seed, &opts.voltages, opts.stream_len, model),
+                metamorphic::voltage_monotonicity(seed, &args.voltages, opts.stream_len, model),
             ));
         }
     }
@@ -195,14 +113,14 @@ fn run(opts: &Options) -> Vec<Report> {
     // Packed-vs-reference: the word-packed hot-path queries against
     // their retained per-bit references, on maps drawn down the ladder
     // under each requested fault model.
-    for &model in &opts.models {
+    for &model in &args.models {
         reports.push(Report::new(
             format!(
                 "hotpath@packed-reference/{}/seed{}",
                 model.name(),
-                opts.seed
+                args.seed
             ),
-            oracles::packed_reference_equivalence(opts.seed, &opts.voltages, model),
+            oracles::packed_reference_equivalence(args.seed, &args.voltages, model),
         ));
     }
 
@@ -210,18 +128,18 @@ fn run(opts: &Options) -> Vec<Report> {
     // 760 mV over the real bench10 workloads (once per fault model — a
     // yield-clean point must be clean under every injection backend),
     // and persistence identity for the first requested benchmark.
-    for &model in &opts.models {
+    for &model in &args.models {
         reports.push(Report::new(
             format!("evaluator@clean-760mV/{}", model.name()),
-            oracles::evaluator_clean_equivalence(&opts.benchmarks, opts.seed, model),
+            oracles::evaluator_clean_equivalence(&args.benchmarks, args.seed, model),
         ));
     }
     reports.push(Report::new(
-        format!("evaluator@persistence/{}", opts.benchmarks[0].name()),
+        format!("evaluator@persistence/{}", args.benchmarks[0].name()),
         oracles::persistence_identity(
-            opts.benchmarks[0],
-            opts.seed,
-            opts.models[0],
+            args.benchmarks[0],
+            args.seed,
+            args.models[0],
             Some(opts.store_max_bytes),
         ),
     ));
@@ -236,28 +154,26 @@ fn run(opts: &Options) -> Vec<Report> {
 }
 
 fn main() -> ExitCode {
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    let opts = match parse_args(&args) {
-        Ok(opts) => opts,
-        Err(msg) => {
-            if msg.is_empty() {
-                println!("{USAGE}");
-                return ExitCode::SUCCESS;
-            }
-            eprintln!("dvs-diff: {msg}\n{USAGE}");
-            return ExitCode::from(2);
-        }
+    let mut opts = Options {
+        stream_len: 2_000,
+        // One byte evicts after every save: maximal eviction churn for
+        // the persistence-identity family.
+        store_max_bytes: 1,
+        inject_divergence: false,
     };
-    let reports = run(&opts);
-    if opts.json {
-        println!("{}", render_json(&reports));
-    } else {
-        print!("{}", render_text(&reports));
-    }
-    let denied = reports.iter().any(|r| has_deny(&r.diagnostics));
-    if denied {
-        ExitCode::from(1)
-    } else {
-        ExitCode::SUCCESS
-    }
+    let parsed = TOOL.parse(SweepArgs::default(), |flag, values| {
+        match flag {
+            "--stream-len" => opts.stream_len = values.positive(flag)?,
+            "--store-max-bytes" => opts.store_max_bytes = values.number(flag)?,
+            "--inject-divergence" => opts.inject_divergence = true,
+            _ => return Ok(false),
+        }
+        Ok(true)
+    });
+    let args = match parsed {
+        Ok(args) => args,
+        Err(code) => return code,
+    };
+    let reports = run(&args, &opts);
+    args.report(DIFF_SCHEMA, &LINTS, &reports)
 }

@@ -26,13 +26,11 @@
 use std::process::ExitCode;
 
 use dvs_analysis::{has_deny, render_text, Diagnostic, Location, Report};
+use dvs_bench::sweep::{self, Flag, SweepArgs, Tool};
 use dvs_diff::stream::{replays, synthetic_stream, word_misses, Access};
 use dvs_linker::fault_free_chunks;
 use dvs_schemes::SchemeKind;
-use dvs_sram::{
-    ladder_mv, CacheGeometry, FaultChain, FaultMap, FaultModel, MilliVolts, PfailModel,
-};
-use dvs_workloads::Benchmark;
+use dvs_sram::{CacheGeometry, FaultMap, FaultModel};
 
 /// Versioned schema tag of the `--json` envelope.
 const MODEL_SCHEMA: &str = "dvs-model/1";
@@ -63,31 +61,9 @@ const KINDS: [(&str, SchemeKind); 9] = [
 /// windows are history-dependent, FBA/IDC saturate their entry budgets).
 const MONOTONE_MISS_KINDS: [&str; 3] = ["BBR", "Simple-wdis", "Wilkerson+"];
 
-struct Options {
-    voltages: Vec<u32>,
-    benchmarks: Vec<Benchmark>,
-    models: Vec<FaultModel>,
-    maps: u64,
-    seed: u64,
-    stream_len: usize,
-    json: bool,
-}
-
-impl Default for Options {
-    fn default() -> Self {
-        Options {
-            voltages: vec![760, 600, 520, 480, 440, 400],
-            benchmarks: Benchmark::ALL.to_vec(),
-            models: FaultModel::ALL.to_vec(),
-            maps: 2,
-            seed: 0,
-            stream_len: 2_000,
-            json: false,
-        }
-    }
-}
-
-const USAGE: &str = "usage: dvs-model [options]
+const TOOL: Tool = Tool {
+    name: "dvs-model",
+    usage: "usage: dvs-model [options]
   --voltages LIST   comma-separated mV points (default 760,600,520,480,440,400)
   --benchmarks LIST comma-separated benchmark names (default: all ten)
   --models LIST     comma-separated fault models: iid, rowcol, clustered
@@ -96,96 +72,25 @@ const USAGE: &str = "usage: dvs-model [options]
   --seed N          base seed for chains and streams (default 0)
   --stream-len N    accesses per synthetic stream (default 2000)
   --json            emit one dvs-model/1 JSON document instead of text
-  --help            print this help";
+  --help            print this help
+exit: 0 no deny finding, 1 a deny finding, 2 usage error",
+    flags: &[
+        Flag::Benchmarks,
+        Flag::Voltages,
+        Flag::Models,
+        Flag::Maps,
+        Flag::Seed,
+        Flag::Json,
+    ],
+};
 
-fn parse_benchmark(name: &str) -> Option<Benchmark> {
-    Benchmark::ALL.into_iter().find(|b| {
-        let full = b.name();
-        full.eq_ignore_ascii_case(name)
-            || full
-                .rsplit('.')
-                .next()
-                .is_some_and(|short| short.eq_ignore_ascii_case(name))
-    })
-}
-
-fn parse_args(args: &[String]) -> Result<Options, String> {
-    let mut opts = Options::default();
-    let mut it = args.iter();
-    while let Some(arg) = it.next() {
-        let mut value = |flag: &str| {
-            it.next()
-                .cloned()
-                .ok_or_else(|| format!("{flag} expects a value"))
-        };
-        match arg.as_str() {
-            "--voltages" => {
-                opts.voltages = value("--voltages")?
-                    .split(',')
-                    .map(|v| v.trim().parse::<u32>().map_err(|_| format!("bad mV: {v}")))
-                    .collect::<Result<_, _>>()?;
-            }
-            "--benchmarks" => {
-                opts.benchmarks = value("--benchmarks")?
-                    .split(',')
-                    .map(|n| {
-                        parse_benchmark(n.trim()).ok_or_else(|| format!("unknown benchmark: {n}"))
-                    })
-                    .collect::<Result<_, _>>()?;
-            }
-            "--models" => {
-                opts.models = value("--models")?
-                    .split(',')
-                    .map(|n| {
-                        FaultModel::parse(n.trim()).ok_or_else(|| format!("unknown model: {n}"))
-                    })
-                    .collect::<Result<_, _>>()?;
-            }
-            "--maps" => {
-                opts.maps = value("--maps")?
-                    .parse()
-                    .map_err(|_| "--maps expects an integer".to_string())?;
-            }
-            "--seed" => {
-                opts.seed = value("--seed")?
-                    .parse()
-                    .map_err(|_| "--seed expects an integer".to_string())?;
-            }
-            "--stream-len" => {
-                opts.stream_len = value("--stream-len")?
-                    .parse()
-                    .map_err(|_| "--stream-len expects an integer".to_string())?;
-            }
-            "--json" => opts.json = true,
-            "--help" | "-h" => return Err(String::new()),
-            other => return Err(format!("unknown flag {other}")),
-        }
+/// The default sweep: every model, two chains, six points from 760 to
+/// 400 mV.
+fn defaults() -> SweepArgs {
+    SweepArgs {
+        voltages: vec![760, 600, 520, 480, 440, 400],
+        ..SweepArgs::default()
     }
-    if opts.voltages.is_empty()
-        || opts.benchmarks.is_empty()
-        || opts.models.is_empty()
-        || opts.maps == 0
-        || opts.stream_len == 0
-    {
-        return Err("nothing to do: empty voltage, benchmark, model, map or stream".to_string());
-    }
-    Ok(opts)
-}
-
-/// The rungs a chain advances through: the canonical 20 mV ladder down
-/// to the deepest requested point, merged with any off-grid requested
-/// voltages, descending (same contract as `dvs-verify`).
-fn chain_rungs(voltages: &[u32]) -> Vec<u32> {
-    let lowest = voltages.iter().copied().min().expect("non-empty voltages");
-    let mut rungs = ladder_mv(lowest);
-    for &v in voltages {
-        if !rungs.contains(&v) {
-            rungs.push(v);
-        }
-    }
-    rungs.sort_unstable_by(|a, b| b.cmp(a));
-    rungs.dedup();
-    rungs
 }
 
 /// Mean over frames of the longest fault-free run of words in the frame
@@ -271,32 +176,22 @@ fn sample_point(vcc_mv: u32, fmap: &FaultMap, streams: &[Vec<Access>]) -> Point 
     }
 }
 
-fn run(opts: &Options) -> (Vec<ModelSeries>, Vec<Diagnostic>) {
+fn run(args: &SweepArgs, stream_len: usize) -> (Vec<ModelSeries>, Vec<Diagnostic>) {
     let geom = CacheGeometry::dsn_l1();
-    let pfail = PfailModel::dsn45();
-    let rungs = chain_rungs(&opts.voltages);
-    let streams: Vec<Vec<Access>> = opts
+    let streams: Vec<Vec<Access>> = args
         .benchmarks
         .iter()
         .enumerate()
-        .map(|(i, _)| synthetic_stream(opts.seed.wrapping_add(i as u64), opts.stream_len))
+        .map(|(i, _)| synthetic_stream(args.seed.wrapping_add(i as u64), stream_len))
         .collect();
     let mut series = Vec::new();
     let mut checks = Vec::new();
-    for &model in &opts.models {
+    for &model in &args.models {
         let mut maps = Vec::new();
-        for map in 0..opts.maps {
-            let chain_seed = opts.seed.wrapping_add(map).wrapping_mul(0x9E37_79B9);
-            let mut chain = FaultChain::with_model(&geom, chain_seed, model);
+        for map in 0..args.maps {
             let mut points = Vec::new();
             let mut prev: Option<FaultMap> = None;
-            for &mv in &rungs {
-                let p = pfail.pfail_word(MilliVolts::new(mv)).max(chain.p_current());
-                chain.advance_to(p);
-                if !opts.voltages.contains(&mv) {
-                    continue;
-                }
-                let fmap = chain.map();
+            args.walk_chain(&geom, model, map, |mv, _, fmap| {
                 if let Some(prev) = &prev {
                     if let Some(idx) = prev
                         .iter_faulty_linear()
@@ -315,7 +210,7 @@ fn run(opts: &Options) -> (Vec<ModelSeries>, Vec<Diagnostic>) {
                 }
                 prev = Some(fmap.clone());
                 points.push(sample_point(mv, fmap, &streams));
-            }
+            });
             for pair in points.windows(2) {
                 let (hi, lo) = (&pair[0], &pair[1]);
                 for (a, b) in hi.schemes.iter().zip(&lo.schemes) {
@@ -359,15 +254,20 @@ fn run(opts: &Options) -> (Vec<ModelSeries>, Vec<Diagnostic>) {
     (series, checks)
 }
 
-fn render_json(opts: &Options, series: &[ModelSeries], checks: &[Diagnostic]) -> String {
+fn render_json(
+    args: &SweepArgs,
+    stream_len: usize,
+    series: &[ModelSeries],
+    checks: &[Diagnostic],
+) -> String {
     let mut out = String::new();
     out.push_str("{\n");
     out.push_str(&format!("  \"schema\": \"{MODEL_SCHEMA}\",\n"));
-    out.push_str(&format!("  \"seed\": {},\n", opts.seed));
-    out.push_str(&format!("  \"stream_len\": {},\n", opts.stream_len));
-    let volts: Vec<String> = opts.voltages.iter().map(u32::to_string).collect();
+    out.push_str(&format!("  \"seed\": {},\n", args.seed));
+    out.push_str(&format!("  \"stream_len\": {stream_len},\n"));
+    let volts: Vec<String> = args.voltages.iter().map(u32::to_string).collect();
     out.push_str(&format!("  \"voltages_mv\": [{}],\n", volts.join(", ")));
-    let benches: Vec<String> = opts
+    let benches: Vec<String> = args
         .benchmarks
         .iter()
         .map(|b| format!("\"{}\"", b.name()))
@@ -440,14 +340,14 @@ fn render_json(opts: &Options, series: &[ModelSeries], checks: &[Diagnostic]) ->
     out
 }
 
-fn render_tables(opts: &Options, series: &[ModelSeries]) -> String {
+fn render_tables(args: &SweepArgs, series: &[ModelSeries]) -> String {
     let mut out = String::new();
     for m in series {
         out.push_str(&format!(
             "=== fault model: {} (maps averaged over {} chain{}) ===\n",
             m.model.name(),
-            opts.maps,
-            if opts.maps == 1 { "" } else { "s" },
+            args.maps,
+            if args.maps == 1 { "" } else { "s" },
         ));
         // Per voltage, mean over chains.
         out.push_str(&format!(
@@ -497,66 +397,45 @@ fn render_tables(opts: &Options, series: &[ModelSeries]) -> String {
 }
 
 fn main() -> ExitCode {
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    let opts = match parse_args(&args) {
-        Ok(opts) => opts,
-        Err(msg) => {
-            if msg.is_empty() {
-                println!("{USAGE}");
-                return ExitCode::SUCCESS;
-            }
-            eprintln!("dvs-model: {msg}\n{USAGE}");
-            return ExitCode::from(2);
+    let mut stream_len = 2_000;
+    let parsed = TOOL.parse(defaults(), |flag, values| {
+        if flag != "--stream-len" {
+            return Ok(false);
         }
+        stream_len = values.positive(flag)?;
+        Ok(true)
+    });
+    let args = match parsed {
+        Ok(args) => args,
+        Err(code) => return code,
     };
-    let (series, checks) = run(&opts);
-    if opts.json {
-        println!("{}", render_json(&opts, &series, &checks));
+    let (series, checks) = run(&args, stream_len);
+    if args.json {
+        println!("{}", render_json(&args, stream_len, &series, &checks));
     } else {
-        print!("{}", render_tables(&opts, &series));
+        print!("{}", render_tables(&args, &series));
         if !checks.is_empty() {
             let report = Report::new("model@invariants".to_string(), checks.clone());
             print!("{}", render_text(&[report]));
         }
     }
-    if has_deny(&checks) {
-        ExitCode::from(1)
-    } else {
-        ExitCode::SUCCESS
-    }
+    sweep::exit(has_deny(&checks))
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn chain_rungs_merge_off_grid_points_descending() {
-        let rungs = chain_rungs(&[760, 485, 400]);
-        assert_eq!(rungs.first(), Some(&760));
-        assert_eq!(rungs.last(), Some(&400));
-        assert!(rungs.contains(&485));
-        assert!(rungs.windows(2).all(|w| w[0] > w[1]));
-    }
-
-    #[test]
-    fn parse_rejects_unknown_model_and_empty_lists() {
-        let bad = parse_args(&["--models".into(), "gaussian".into()]);
-        assert!(bad.is_err());
-        let empty = parse_args(&["--maps".into(), "0".into()]);
-        assert!(empty.is_err());
-    }
+    use dvs_workloads::Benchmark;
 
     #[test]
     fn sweep_is_deny_clean_under_every_model() {
-        let opts = Options {
+        let args = SweepArgs {
             voltages: vec![760, 480],
             benchmarks: vec![Benchmark::Qsort],
             maps: 1,
-            stream_len: 200,
-            ..Options::default()
+            ..defaults()
         };
-        let (series, checks) = run(&opts);
+        let (series, checks) = run(&args, 200);
         assert_eq!(series.len(), FaultModel::ALL.len());
         assert!(
             !has_deny(&checks),

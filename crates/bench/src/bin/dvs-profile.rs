@@ -5,133 +5,76 @@
 //! one scheme with a metrics recorder attached (plus a BIST pass at that
 //! point's failure rate) and prints a per-subsystem breakdown table, or
 //! the full metrics as JSON with `--json`.
+//!
+//! Exit codes: `0` success, `1` the `--selfcheck` validation failed, `2`
+//! usage error.
 
-use std::path::PathBuf;
 use std::process::ExitCode;
 
-use dvs_bench::baseline::{Baseline, DEFAULT_BASELINE_PATH, DEFAULT_TOLERANCE};
 use dvs_bench::profile::{run_profile, ProfileOptions};
+use dvs_bench::sweep::{self, Flag, SweepArgs, Tool};
 use dvs_sram::MilliVolts;
-use dvs_workloads::Benchmark;
 
-const USAGE: &str = "usage: dvs-profile [options]
+const TOOL: Tool = Tool {
+    name: "dvs-profile",
+    usage: "usage: dvs-profile [options]
   --benchmarks LIST  comma-separated benchmark names (default: all ten)
   --voltages LIST    comma-separated operating points in mV (default: 760,560,520,480,440,400)
-  --maps N           fault maps per cell
-  --trace-instrs N   dynamic instructions per trial
-  --seed N           root seed
-  --threads N        worker threads
+  --maps N           fault maps per cell (default 3)
+  --trace-instrs N   dynamic instructions per trial (default 25000)
+  --seed N           root seed (default 42)
+  --threads N        worker threads (default 4)
   --json             emit machine-readable JSON instead of the table
   --no-timings       omit volatile wall-clock sections from the JSON
   --selfcheck        validate the JSON rendering before printing
-  --bless-baseline   write the sweep's trials/sec to the baseline file
-  --check-baseline   compare against the baseline file; exit non-zero on
-                     a >10% throughput regression (best of three sweeps)
-                     or a config mismatch
-  --baseline-path P  baseline file location (default BENCH_baseline.json)
-  -h, --help         this text";
+  -h, --help         this text
+exit: 0 success, 1 self-check failed, 2 usage error",
+    flags: &[
+        Flag::Benchmarks,
+        Flag::Voltages,
+        Flag::Maps,
+        Flag::Seed,
+        Flag::Json,
+    ],
+};
 
-fn parse_benchmark(name: &str) -> Option<Benchmark> {
-    Benchmark::ALL.into_iter().find(|b| {
-        let full = b.name();
-        // Accept both "401.bzip2" and the bare "bzip2".
-        full == name || full.split_once('.').is_some_and(|(_, bare)| bare == name)
-    })
-}
-
-/// Profile options plus the binary-only baseline flags.
-struct CliOptions {
-    profile: ProfileOptions,
-    bless_baseline: bool,
-    check_baseline: bool,
-    baseline_path: PathBuf,
-}
-
-fn parse(mut args: impl Iterator<Item = String>) -> Result<CliOptions, String> {
+/// Parses `args` into the profile to run; `Ok(None)` means `--help`.
+fn parse(args: impl IntoIterator<Item = String>) -> Result<Option<ProfileOptions>, String> {
     let mut opts = ProfileOptions::default();
-    let mut bless_baseline = false;
-    let mut check_baseline = false;
-    let mut baseline_path = PathBuf::from(DEFAULT_BASELINE_PATH);
-    while let Some(arg) = args.next() {
-        let mut value = |flag: &str| args.next().ok_or_else(|| format!("{flag} expects a value"));
-        match arg.as_str() {
-            "--benchmarks" => {
-                opts.benchmarks = value("--benchmarks")?
-                    .split(',')
-                    .map(|n| parse_benchmark(n).ok_or_else(|| format!("unknown benchmark {n}")))
-                    .collect::<Result<_, _>>()?;
-            }
-            "--voltages" => {
-                opts.voltages = value("--voltages")?
-                    .split(',')
-                    .map(|v| {
-                        v.parse::<u32>()
-                            .map(MilliVolts::new)
-                            .map_err(|_| format!("bad voltage {v}"))
-                    })
-                    .collect::<Result<_, _>>()?;
-            }
-            "--maps" => {
-                opts.cfg.maps = value("--maps")?
-                    .parse()
-                    .map_err(|_| "--maps expects an integer".to_string())?;
-            }
-            "--trace-instrs" => {
-                opts.cfg.trace_instrs = value("--trace-instrs")?
-                    .parse()
-                    .map_err(|_| "--trace-instrs expects an integer".to_string())?;
-            }
-            "--seed" => {
-                opts.cfg.seed = value("--seed")?
-                    .parse()
-                    .map_err(|_| "--seed expects an integer".to_string())?;
-            }
-            "--threads" => {
-                opts.cfg.threads = value("--threads")?
-                    .parse()
-                    .map_err(|_| "--threads expects an integer".to_string())?;
-            }
-            "--json" => opts.json = true,
+    let defaults = SweepArgs {
+        benchmarks: opts.benchmarks.clone(),
+        voltages: opts.voltages.iter().map(|v| v.get()).collect(),
+        maps: opts.cfg.maps,
+        seed: opts.cfg.seed,
+        ..SweepArgs::default()
+    };
+    let parsed = TOOL.parse_from(args, defaults, |flag, values| {
+        match flag {
+            "--trace-instrs" => opts.cfg.trace_instrs = values.number(flag)?,
+            "--threads" => opts.cfg.threads = values.number(flag)?,
             "--no-timings" => opts.include_timings = false,
             "--selfcheck" => opts.selfcheck = true,
-            "--bless-baseline" => bless_baseline = true,
-            "--check-baseline" => check_baseline = true,
-            "--baseline-path" => {
-                baseline_path = PathBuf::from(value("--baseline-path")?);
-            }
-            "--help" | "-h" => {
-                println!("{USAGE}");
-                std::process::exit(0);
-            }
-            other => return Err(format!("unknown flag {other}; try --help")),
+            _ => return Ok(false),
         }
-    }
-    if opts.benchmarks.is_empty() {
-        return Err("no benchmarks selected".into());
-    }
-    if opts.voltages.is_empty() {
-        return Err("no voltages selected".into());
-    }
-    if bless_baseline && check_baseline {
-        return Err("--bless-baseline and --check-baseline are mutually exclusive".into());
-    }
-    Ok(CliOptions {
-        profile: opts,
-        bless_baseline,
-        check_baseline,
-        baseline_path,
-    })
+        Ok(true)
+    })?;
+    let Some(args) = parsed else {
+        return Ok(None);
+    };
+    opts.voltages = args.voltages.iter().copied().map(MilliVolts::new).collect();
+    opts.benchmarks = args.benchmarks;
+    opts.cfg.maps = args.maps;
+    opts.cfg.seed = args.seed;
+    opts.json = args.json;
+    Ok(Some(opts))
 }
 
 fn main() -> ExitCode {
-    let cli = match parse(std::env::args().skip(1)) {
-        Ok(cli) => cli,
-        Err(e) => {
-            eprintln!("error: {e}\n{USAGE}");
-            return ExitCode::FAILURE;
-        }
+    let opts = match TOOL.resolve(parse(std::env::args().skip(1))) {
+        Ok(opts) => opts,
+        Err(code) => return code,
     };
-    let opts = &cli.profile;
+
     eprintln!(
         "profiling {} benchmarks x {} voltages x {} maps ({} instrs/trial)...",
         opts.benchmarks.len(),
@@ -139,11 +82,11 @@ fn main() -> ExitCode {
         opts.cfg.maps,
         opts.cfg.trace_instrs
     );
-    let report = run_profile(opts);
+    let report = run_profile(&opts);
     if opts.selfcheck {
         if let Err(e) = report.validate() {
             eprintln!("error: self-check failed: {e}");
-            return ExitCode::FAILURE;
+            return sweep::exit(true);
         }
         eprintln!("self-check passed");
     }
@@ -152,55 +95,13 @@ fn main() -> ExitCode {
     } else {
         print!("{}", report.to_text());
     }
-    if cli.bless_baseline {
-        let baseline = Baseline::from_report(&report);
-        if let Err(e) = std::fs::write(&cli.baseline_path, format!("{}\n", baseline.to_json())) {
-            eprintln!("error: cannot write {}: {e}", cli.baseline_path.display());
-            return ExitCode::FAILURE;
-        }
-        eprintln!(
-            "blessed {} at {:.1} trials/s",
-            cli.baseline_path.display(),
-            baseline.trials_per_sec
-        );
-    }
-    if cli.check_baseline {
-        let baseline = match Baseline::load(&cli.baseline_path) {
-            Ok(baseline) => baseline,
-            Err(e) => {
-                eprintln!("error: {e}");
-                return ExitCode::FAILURE;
-            }
-        };
-        // Wall-clock throughput is noisy (background load can slow an
-        // identical binary by tens of percent), so the gate is best-of-
-        // three: rerun the sweep on a throughput miss. Config mismatches
-        // are deterministic and fail immediately.
-        let mut result = baseline.check(&report, DEFAULT_TOLERANCE);
-        let mut retries = 0;
-        while let Err(e) = &result {
-            if retries == 2 || !e.starts_with("throughput regressed") {
-                break;
-            }
-            retries += 1;
-            eprintln!("warning: {e}; retrying sweep ({retries}/2)");
-            let retry_report = run_profile(opts);
-            result = baseline.check(&retry_report, DEFAULT_TOLERANCE);
-        }
-        match result {
-            Ok(msg) => eprintln!("{msg}"),
-            Err(e) => {
-                eprintln!("error: {e}");
-                return ExitCode::FAILURE;
-            }
-        }
-    }
-    ExitCode::SUCCESS
+    sweep::exit(false)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use dvs_workloads::Benchmark;
 
     fn argv(s: &str) -> impl Iterator<Item = String> + '_ {
         s.split_whitespace().map(String::from)
@@ -208,13 +109,12 @@ mod tests {
 
     #[test]
     fn parses_full_flag_set() {
-        let cli = parse(argv(
+        let opts = parse(argv(
             "--benchmarks crc32,bzip2 --voltages 760,400 --maps 5 --seed 7 \
-             --trace-instrs 1000 --threads 2 --json --no-timings --selfcheck \
-             --check-baseline --baseline-path /tmp/b.json",
+             --trace-instrs 1000 --threads 2 --json --no-timings --selfcheck",
         ))
+        .unwrap()
         .unwrap();
-        let opts = &cli.profile;
         assert_eq!(opts.benchmarks, vec![Benchmark::Crc32, Benchmark::Bzip2]);
         assert_eq!(
             opts.voltages,
@@ -225,8 +125,6 @@ mod tests {
         assert_eq!(opts.cfg.trace_instrs, 1000);
         assert_eq!(opts.cfg.threads, 2);
         assert!(opts.json && !opts.include_timings && opts.selfcheck);
-        assert!(cli.check_baseline && !cli.bless_baseline);
-        assert_eq!(cli.baseline_path, PathBuf::from("/tmp/b.json"));
     }
 
     #[test]
@@ -235,18 +133,36 @@ mod tests {
         assert!(parse(argv("--benchmarks nosuch")).is_err());
         assert!(parse(argv("--voltages abc")).is_err());
         assert!(parse(argv("--maps")).is_err());
-        assert!(parse(argv("--bless-baseline --check-baseline")).is_err());
+        assert!(parse(argv("--threads x")).is_err());
+        assert!(parse(argv("--trace-instrs")).is_err());
+        // dvs-profile sweeps one fault model and takes no --models.
+        assert!(parse(argv("--models iid")).is_err());
     }
 
     #[test]
     fn defaults_cover_the_full_sweep() {
-        let cli = parse(argv("")).unwrap();
-        let opts = &cli.profile;
+        let opts = parse(argv("")).unwrap().unwrap();
+        let base = ProfileOptions::default();
         assert_eq!(opts.benchmarks.len(), 10);
         assert_eq!(opts.voltages.len(), 6);
+        assert_eq!(opts.voltages, base.voltages);
+        assert_eq!(
+            (
+                opts.cfg.maps,
+                opts.cfg.seed,
+                opts.cfg.trace_instrs,
+                opts.cfg.threads
+            ),
+            (
+                base.cfg.maps,
+                base.cfg.seed,
+                base.cfg.trace_instrs,
+                base.cfg.threads
+            )
+        );
         assert!(!opts.json);
         assert!(opts.include_timings);
-        assert!(!cli.bless_baseline && !cli.check_baseline);
-        assert_eq!(cli.baseline_path, PathBuf::from(DEFAULT_BASELINE_PATH));
+        assert!(!opts.selfcheck);
+        assert!(parse(argv("--maps 3 --help")).unwrap().is_none());
     }
 }

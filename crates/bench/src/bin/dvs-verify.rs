@@ -1,149 +1,70 @@
-//! `dvs-verify` — dataflow fault-safety proofs and bounded model
+//! `dvs-verify` — lints, dataflow fault-safety proofs and bounded model
 //! checking over linked images.
 //!
-//! Where `dvs-lint` runs the full lint registry over independently
-//! sampled fault maps, `dvs-verify` runs the *verification* passes
-//! (`verify/fault-reach`, `verify/value-range`, `verify/remap-liveness`)
-//! down the incremental [`FaultChain`] voltage ladder: one chain per map
-//! seed, advanced monotonically from 760 mV to the deepest requested
-//! point, re-linking and re-proving each benchmark at every requested
-//! rung. The fault sets nest by construction, so a proof failing at a
-//! lower rung but passing above it localises the voltage where an image
-//! first becomes unsafe.
+//! For every benchmark and fault model, `dvs-verify` grows fault chains
+//! down the incremental [`dvs_sram::FaultChain`] voltage ladder: one chain
+//! per map seed, advanced monotonically from 760 mV to the deepest
+//! requested point, re-linking each benchmark at every requested rung and
+//! running the full lint registry over the image: the local placement
+//! checks (chunk containment, layout soundness, transform equivalence,
+//! ...) and the verification passes (`verify/fault-reach`,
+//! `verify/value-range`, `verify/remap-liveness`). The fault sets nest by
+//! construction, so a finding at a lower rung but not above it localises
+//! the voltage where an image first becomes unsafe. Maps the linker
+//! cannot place (expected at deep voltage) are reported as warnings: the
+//! lints judge successful links only.
 //!
 //! With `--bounded-depth N` (default 4, `0` disables) the bounded model
 //! checker additionally proves the scheme state machines' LRU-stack,
 //! inclusion and clean-map-equivalence invariants over every access
 //! sequence to depth `N` on a tiny geometry (`verify/bounded-model`).
 //!
-//! Exit codes: `0` everything proven, `1` warn-level findings only, `2`
-//! at least one deny-severity finding or a usage error.
+//! Exit codes: `0` no deny finding, `1` at least one deny finding, `2`
+//! usage error.
 
 use std::process::ExitCode;
 
-use dvs_analysis::{
-    render_json_envelope, render_text, AnalysisInput, LintMeta, LintRegistry, Report, Severity,
-};
+use dvs_analysis::{AnalysisInput, LintMeta, LintRegistry, Report, Severity};
+use dvs_bench::sweep::{Flag, SweepArgs, Tool};
 use dvs_diff::bounded_suite;
 use dvs_linker::{adaptive_max_block_words, bbr_transform, BbrLinker, Diagnostic, Location};
-use dvs_sram::{ladder_mv, CacheGeometry, FaultChain, FaultModel, MilliVolts, PfailModel};
-use dvs_workloads::{Benchmark, Layout};
+use dvs_sram::{CacheGeometry, FaultMap, FaultModel};
+use dvs_workloads::Layout;
 
-/// Versioned schema tag of the `--json` envelope.
-const VERIFY_SCHEMA: &str = "dvs-verify/1";
-
-struct Options {
-    voltages: Vec<u32>,
-    benchmarks: Vec<Benchmark>,
-    maps: u64,
-    seed: u64,
-    model: FaultModel,
-    json: bool,
-    inject_misplacement: bool,
-    bounded_depth: usize,
-}
-
-impl Default for Options {
-    fn default() -> Self {
-        Options {
-            voltages: vec![760, 600, 480, 400],
-            benchmarks: Benchmark::ALL.to_vec(),
-            maps: 2,
-            seed: 0,
-            model: FaultModel::Iid,
-            json: false,
-            inject_misplacement: false,
-            bounded_depth: 4,
-        }
-    }
-}
-
-const USAGE: &str = "usage: dvs-verify [options]
+const TOOL: Tool = Tool {
+    name: "dvs-verify",
+    usage: "usage: dvs-verify [options]
   --voltages LIST   comma-separated mV points (default 760,600,480,400)
   --benchmarks LIST comma-separated benchmark names (default: all ten)
-  --maps N          fault chains grown per benchmark (default 2)
+  --maps N          fault chains grown per benchmark and model (default 2)
   --seed N          base RNG seed for the fault chains (default 0)
-  --model NAME      fault model the chains sample under: iid, rowcol or
+  --models LIST     fault models the chains sample under: iid, rowcol,
                     clustered (default iid)
   --bounded-depth N bounded model-checking depth, 0 to skip (default 4)
   --json            emit one dvs-verify/1 JSON document instead of text
   --inject-misplacement
                     corrupt one placement per image (self-test: the
-                    fault-reachability proof must fail and the exit
-                    code must be 2)
-  --help            print this help";
+                    lints and proofs must report it and the exit code
+                    must be 1)
+  --help            print this help
+exit: 0 no deny finding, 1 a deny finding, 2 usage error",
+    flags: &[
+        Flag::Benchmarks,
+        Flag::Voltages,
+        Flag::Models,
+        Flag::Maps,
+        Flag::Seed,
+        Flag::Json,
+    ],
+};
 
-fn parse_benchmark(name: &str) -> Option<Benchmark> {
-    Benchmark::ALL.into_iter().find(|b| {
-        let full = b.name();
-        full.eq_ignore_ascii_case(name)
-            || full
-                .rsplit('.')
-                .next()
-                .is_some_and(|short| short.eq_ignore_ascii_case(name))
-    })
-}
-
-fn parse_args(args: &[String]) -> Result<Options, String> {
-    let mut opts = Options::default();
-    let mut it = args.iter();
-    while let Some(arg) = it.next() {
-        let mut value = |flag: &str| {
-            it.next()
-                .cloned()
-                .ok_or_else(|| format!("{flag} expects a value"))
-        };
-        match arg.as_str() {
-            "--voltages" => {
-                opts.voltages = value("--voltages")?
-                    .split(',')
-                    .map(|v| v.trim().parse::<u32>().map_err(|_| format!("bad mV: {v}")))
-                    .collect::<Result<_, _>>()?;
-            }
-            "--benchmarks" => {
-                opts.benchmarks = value("--benchmarks")?
-                    .split(',')
-                    .map(|n| {
-                        parse_benchmark(n.trim()).ok_or_else(|| format!("unknown benchmark: {n}"))
-                    })
-                    .collect::<Result<_, _>>()?;
-            }
-            "--maps" => {
-                opts.maps = value("--maps")?
-                    .parse()
-                    .map_err(|_| "--maps expects an integer".to_string())?;
-            }
-            "--seed" => {
-                opts.seed = value("--seed")?
-                    .parse()
-                    .map_err(|_| "--seed expects an integer".to_string())?;
-            }
-            "--model" => {
-                let name = value("--model")?;
-                opts.model = FaultModel::parse(name.trim())
-                    .ok_or_else(|| format!("unknown model: {name}"))?;
-            }
-            "--bounded-depth" => {
-                opts.bounded_depth = value("--bounded-depth")?
-                    .parse()
-                    .map_err(|_| "--bounded-depth expects an integer".to_string())?;
-            }
-            "--json" => opts.json = true,
-            "--inject-misplacement" => opts.inject_misplacement = true,
-            "--help" | "-h" => return Err(String::new()),
-            other => return Err(format!("unknown flag {other}")),
-        }
-    }
-    if opts.voltages.is_empty() || opts.benchmarks.is_empty() || opts.maps == 0 {
-        return Err("nothing to do: empty voltage, benchmark or map list".to_string());
-    }
-    Ok(opts)
-}
+/// Versioned schema tag of the `--json` envelope.
+const VERIFY_SCHEMA: &str = "dvs-verify/1";
 
 /// Moves block 0 onto the first defective cache word (or one word past
-/// the image end on a fault-free map), so the fault-reachability proof
-/// has a real violation to find.
-fn corrupt_layout(layout: &Layout, fmap: &dvs_sram::FaultMap, functions: usize) -> Layout {
+/// the image end on a fault-free map), so the lints and proofs have a
+/// real violation to find.
+fn corrupt_layout(layout: &Layout, fmap: &FaultMap, functions: usize) -> Layout {
     let mut starts: Vec<u64> = (0..layout.num_blocks())
         .map(|id| layout.block_start(id))
         .collect();
@@ -156,79 +77,60 @@ fn corrupt_layout(layout: &Layout, fmap: &dvs_sram::FaultMap, functions: usize) 
     Layout::from_parts(starts, vec![0; functions], end)
 }
 
-/// The rungs one chain advances through: the canonical 20 mV ladder down
-/// to the deepest requested point, merged with any off-grid requested
-/// voltages, descending. Every rung advances the chain; only requested
-/// rungs are verified.
-fn chain_rungs(voltages: &[u32]) -> Vec<u32> {
-    let lowest = voltages.iter().copied().min().expect("non-empty voltages");
-    let mut rungs = ladder_mv(lowest);
-    for &v in voltages {
-        if !rungs.contains(&v) {
-            rungs.push(v);
-        }
-    }
-    rungs.sort_unstable_by(|a, b| b.cmp(a));
-    rungs.dedup();
-    rungs
-}
-
-fn run(opts: &Options) -> Vec<Report> {
+fn run(args: &SweepArgs, bounded_depth: usize, inject_misplacement: bool) -> Vec<Report> {
     let geom = CacheGeometry::dsn_l1();
-    let model = PfailModel::dsn45();
-    let registry = LintRegistry::verification();
-    let rungs = chain_rungs(&opts.voltages);
+    let registry = LintRegistry::standard();
     let mut reports = Vec::new();
-    for bench in &opts.benchmarks {
-        let wl = bench.build(opts.seed);
-        for map in 0..opts.maps {
-            let chain_seed = opts.seed.wrapping_add(map).wrapping_mul(0x9E37_79B9);
-            let mut chain = FaultChain::with_model(&geom, chain_seed, opts.model);
-            for &mv in &rungs {
-                let p_word = model.pfail_word(MilliVolts::new(mv));
-                chain.advance_to(p_word);
-                if !opts.voltages.contains(&mv) {
-                    continue;
-                }
-                let subject = format!("{}@{mv}mV/chain{map}", bench.name());
-                let fmap = chain.map();
-                let transformed = bbr_transform(wl.program(), adaptive_max_block_words(p_word));
-                let diagnostics = match BbrLinker::new(geom).link(&transformed, fmap) {
-                    Ok(image) => {
-                        let (program, layout) = image.into_parts();
-                        let layout = if opts.inject_misplacement {
-                            corrupt_layout(&layout, fmap, program.functions().len())
-                        } else {
-                            layout
-                        };
-                        registry.run(&AnalysisInput {
-                            program: &program,
-                            layout: &layout,
-                            fmap,
-                            original: Some(wl.program()),
-                        })
-                    }
-                    Err(e) => vec![Diagnostic::warn(
-                        "link-failure",
-                        Location::Image,
-                        format!("linker gave up at {mv} mV: {e}"),
-                    )],
-                };
-                reports.push(Report::new(subject, diagnostics));
+    for bench in &args.benchmarks {
+        let wl = bench.build(args.seed);
+        for &model in &args.models {
+            // Subjects name the model only when the sweep spans several.
+            let tag = if args.models.len() > 1 {
+                format!("{}/", model.name())
+            } else {
+                String::new()
+            };
+            for map in 0..args.maps {
+                args.walk_chain(&geom, model, map, |mv, p_word, fmap| {
+                    let subject = format!("{}@{mv}mV/{tag}chain{map}", bench.name());
+                    let transformed = bbr_transform(wl.program(), adaptive_max_block_words(p_word));
+                    let diagnostics = match BbrLinker::new(geom).link(&transformed, fmap) {
+                        Ok(image) => {
+                            let (program, layout) = image.into_parts();
+                            let layout = if inject_misplacement {
+                                corrupt_layout(&layout, fmap, program.functions().len())
+                            } else {
+                                layout
+                            };
+                            registry.run(&AnalysisInput {
+                                program: &program,
+                                layout: &layout,
+                                fmap,
+                                original: Some(wl.program()),
+                            })
+                        }
+                        Err(e) => vec![Diagnostic::warn(
+                            "link-failure",
+                            Location::Image,
+                            format!("linker gave up at {mv} mV: {e}"),
+                        )],
+                    };
+                    reports.push(Report::new(subject, diagnostics));
+                });
             }
         }
     }
-    if opts.bounded_depth > 0 {
+    if bounded_depth > 0 {
         reports.push(Report::new(
-            format!("schemes@bounded/depth{}", opts.bounded_depth),
-            bounded_suite(opts.bounded_depth),
+            format!("schemes@bounded/depth{bounded_depth}"),
+            bounded_suite(bounded_depth),
         ));
     }
     reports
 }
 
-fn lint_metas(opts: &Options) -> Vec<LintMeta> {
-    let mut metas: Vec<LintMeta> = LintRegistry::verification()
+fn lint_metas(bounded_depth: usize) -> Vec<LintMeta> {
+    let mut metas: Vec<LintMeta> = LintRegistry::standard()
         .lints()
         .iter()
         .map(|l| LintMeta {
@@ -236,7 +138,7 @@ fn lint_metas(opts: &Options) -> Vec<LintMeta> {
             level: l.severity().name(),
         })
         .collect();
-    if opts.bounded_depth > 0 {
+    if bounded_depth > 0 {
         metas.push(LintMeta {
             name: dvs_linker::lint_ids::VERIFY_BOUNDED_MODEL,
             level: Severity::Deny.name(),
@@ -246,34 +148,24 @@ fn lint_metas(opts: &Options) -> Vec<LintMeta> {
 }
 
 fn main() -> ExitCode {
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    let opts = match parse_args(&args) {
-        Ok(opts) => opts,
-        Err(msg) => {
-            if msg.is_empty() {
-                println!("{USAGE}");
-                return ExitCode::SUCCESS;
-            }
-            eprintln!("dvs-verify: {msg}\n{USAGE}");
-            return ExitCode::from(2);
-        }
+    let mut bounded_depth = 4;
+    let mut inject_misplacement = false;
+    let defaults = SweepArgs {
+        models: vec![FaultModel::Iid],
+        ..SweepArgs::default()
     };
-    let reports = run(&opts);
-    if opts.json {
-        println!(
-            "{}",
-            render_json_envelope(VERIFY_SCHEMA, &lint_metas(&opts), &reports)
-        );
-    } else {
-        print!("{}", render_text(&reports));
-    }
-    let denied = reports.iter().any(|r| r.deny_count() > 0);
-    let warned = reports.iter().any(|r| r.warn_count() > 0);
-    if denied {
-        ExitCode::from(2)
-    } else if warned {
-        ExitCode::from(1)
-    } else {
-        ExitCode::SUCCESS
-    }
+    let parsed = TOOL.parse(defaults, |flag, values| {
+        match flag {
+            "--bounded-depth" => bounded_depth = values.number(flag)?,
+            "--inject-misplacement" => inject_misplacement = true,
+            _ => return Ok(false),
+        }
+        Ok(true)
+    });
+    let args = match parsed {
+        Ok(args) => args,
+        Err(code) => return code,
+    };
+    let reports = run(&args, bounded_depth, inject_misplacement);
+    args.report(VERIFY_SCHEMA, &lint_metas(bounded_depth), &reports)
 }

@@ -11,6 +11,10 @@
 //! * `--store DIR` / `--no-store` — where completed Monte-Carlo cells are
 //!   persisted and reloaded across runs (default
 //!   `target/dvs-result-store`, overridable via `DVS_RESULT_STORE`).
+//!
+//! The bench10 × voltage sweep tools (`dvs-verify`, `dvs-diff`,
+//! `dvs-model`, `dvs-profile`) share their flags, ladder walk, report
+//! envelope and exit codes through [`sweep`].
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -19,8 +23,8 @@ use std::path::PathBuf;
 
 use dvs_core::{EvalConfig, Evaluator, ResultStore};
 
-pub mod baseline;
 pub mod profile;
+pub mod sweep;
 
 /// Parsed command-line options for the figure binaries.
 #[derive(Debug, Clone, PartialEq, Eq)]

@@ -224,11 +224,6 @@ impl ProfileReport {
             })
     }
 
-    /// Whole-sweep computed-trial throughput (the perf-smoke headline).
-    pub fn trials_per_sec(&self) -> f64 {
-        self.total_stats().trials_per_sec()
-    }
-
     /// Renders the report for humans: one block per voltage with a
     /// per-subsystem breakdown (wall-clock share plus headline counters)
     /// followed by the cache-latency histograms.

@@ -142,34 +142,18 @@ pub fn cell_from_json(v: &Value) -> Result<CellKey, String> {
         .and_then(Value::as_str)
         .ok_or("cell field \"benchmark\" must be a string")?;
     let benchmark =
-        parse_benchmark(benchmark).ok_or_else(|| format!("unknown benchmark {benchmark:?}"))?;
+        Benchmark::parse(benchmark).ok_or_else(|| format!("unknown benchmark {benchmark:?}"))?;
     let scheme = v
         .get("scheme")
         .and_then(Value::as_str)
         .ok_or("cell field \"scheme\" must be a string")?;
-    let scheme = parse_scheme(scheme).ok_or_else(|| format!("unknown scheme {scheme:?}"))?;
+    let scheme = Scheme::parse(scheme).ok_or_else(|| format!("unknown scheme {scheme:?}"))?;
     let vcc = v
         .get("vcc_mv")
         .and_then(Value::as_f64)
         .filter(|f| f.fract() == 0.0 && (0.0..=f64::from(u32::MAX)).contains(f))
         .ok_or("cell field \"vcc_mv\" must be an integer")?;
     Ok(CellKey::new(benchmark, scheme, MilliVolts::new(vcc as u32)))
-}
-
-/// Looks a benchmark up by its paper name (`"401.bzip2"`) or bare name
-/// (`"bzip2"`), the same aliases the serve API accepts.
-pub fn parse_benchmark(name: &str) -> Option<Benchmark> {
-    Benchmark::ALL.into_iter().find(|b| {
-        let full = b.name();
-        full == name || full.split_once('.').is_some_and(|(_, bare)| bare == name)
-    })
-}
-
-/// Looks a scheme up by its figure-legend name, case-insensitively.
-pub fn parse_scheme(name: &str) -> Option<Scheme> {
-    Scheme::ALL
-        .into_iter()
-        .find(|s| s.name().eq_ignore_ascii_case(name))
 }
 
 /// Hex-encodes a binary payload for transport inside JSON strings.

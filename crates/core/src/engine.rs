@@ -342,8 +342,7 @@ pub struct EngineStats {
     /// Trials whose BBR link found no placement.
     pub link_failures: u64,
     /// Trials whose linked image failed static validation (only possible
-    /// when [`crate::EvalConfig::validate_images`] or
-    /// [`crate::EvalConfig::verify_images`] is on).
+    /// when [`crate::EvalConfig::validate_images`] is on).
     pub invariant_violations: u64,
     /// Wall-clock nanoseconds spent inside the BBR linker (summed over
     /// workers, so this can exceed `wall_nanos`).
@@ -684,24 +683,6 @@ fn run_trial(
                     let diags = match rec {
                         Some(r) => dvs_analysis::analyze_image_recorded(&image, &fmap_i, None, r),
                         None => dvs_analysis::analyze_image(&image, &fmap_i, None),
-                    };
-                    if let Some(d) = diags.into_iter().find(|d| d.severity == Severity::Deny) {
-                        return TrialOutcome::Invalid(d);
-                    }
-                } else if cfg.verify_images {
-                    // Verification passes only: the whole-image dataflow
-                    // proofs without the structural lints (or the hoisted
-                    // trace-equivalence check, which they don't use).
-                    let input = dvs_analysis::AnalysisInput {
-                        program: image.program(),
-                        layout: image.layout(),
-                        fmap: &fmap_i,
-                        original: None,
-                    };
-                    let registry = dvs_analysis::LintRegistry::verification();
-                    let diags = match rec {
-                        Some(r) => registry.run_recorded(&input, r),
-                        None => registry.run(&input),
                     };
                     if let Some(d) = diags.into_iter().find(|d| d.severity == Severity::Deny) {
                         return TrialOutcome::Invalid(d);

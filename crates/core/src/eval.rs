@@ -82,17 +82,6 @@ pub struct EvalConfig {
     /// never change metrics, only reject them — so, like `threads`, it is
     /// not part of the result-store key.
     pub validate_images: bool,
-    /// Run every successfully linked BBR image through the `dvs-analysis`
-    /// *verification* passes only (`LintRegistry::verification()`:
-    /// fault-reachability, value-range and remap-liveness dataflow
-    /// proofs), surfacing any deny finding as
-    /// [`EvalError::InvariantViolation`]. A cheaper middle ground between
-    /// no checking and [`EvalConfig::validate_images`]; when the full
-    /// registry already runs, this flag adds nothing (the standard
-    /// registry is a superset). Like `validate_images`, it can only
-    /// reject results, never change them, so it is not part of the
-    /// result-store key.
-    pub verify_images: bool,
     /// Reuse per-worker buffers across trials: fault chains advance
     /// incrementally down the voltage ladder instead of resampling,
     /// identical fault maps reuse their linked image, and traces resolve
@@ -128,7 +117,6 @@ impl EvalConfig {
             threads: 8,
             max_parallel_trials: None,
             validate_images: false,
-            verify_images: false,
             reuse_buffers: true,
             fault_model: dvs_sram::FaultModel::Iid,
             store_max_bytes: None,
@@ -154,7 +142,6 @@ impl EvalConfig {
             threads: 4,
             max_parallel_trials: None,
             validate_images: true,
-            verify_images: false,
             reuse_buffers: true,
             fault_model: dvs_sram::FaultModel::Iid,
             store_max_bytes: None,
@@ -185,8 +172,7 @@ pub enum EvalError {
         attempts: u64,
     },
     /// A linked image failed static validation (only reachable with
-    /// [`EvalConfig::validate_images`] or [`EvalConfig::verify_images`]
-    /// on). Unlike a link failure this is
+    /// [`EvalConfig::validate_images`] on). Unlike a link failure this is
     /// never expected: it means the linker or transform produced an image
     /// that violates a scheme invariant, so the cell's data is discarded
     /// rather than persisted.
@@ -1062,7 +1048,11 @@ mod tests {
         let again_runs = again.run_plan(&plan);
         assert_eq!(again.stats().cells_from_store, 1);
         for ((pk, pr), (_, ar)) in plain_runs.iter().zip(&again_runs) {
-            assert_eq!(pr.as_ref().unwrap().trials, ar.as_ref().unwrap().trials, "{pk}");
+            assert_eq!(
+                pr.as_ref().unwrap().trials,
+                ar.as_ref().unwrap().trials,
+                "{pk}"
+            );
         }
         let _ = std::fs::remove_dir_all(&dir);
     }
@@ -1280,13 +1270,11 @@ mod tests {
         assert!(EvalConfig::quick().validate_images);
         assert!(!EvalConfig::standard().validate_images);
         assert!(!EvalConfig::paper_scale().validate_images);
-        assert!(!EvalConfig::quick().verify_images);
-        // Like `threads`, the flags can never change results, so two
-        // configs differing only in them must share stored cells.
+        // Like `threads`, the flag can never change results, so two
+        // configs differing only in it must share stored cells.
         let with = EvalConfig::quick();
         let without = EvalConfig {
             validate_images: false,
-            verify_images: true,
             ..with
         };
         let key = CellKey::new(Benchmark::Crc32, Scheme::FfwBbr, MilliVolts::new(440));
@@ -1296,32 +1284,6 @@ mod tests {
             StoreKey::for_cell(&with, &core, &geom, &key),
             StoreKey::for_cell(&without, &core, &geom, &key)
         );
-    }
-
-    #[test]
-    fn verify_images_accepts_sound_links_and_matches_validated_results() {
-        // The verification passes are a subset of the standard registry,
-        // so on sound linker output the proof-only config must accept
-        // every trial and reproduce the fully validated metrics.
-        let mut verified = Evaluator::new(EvalConfig {
-            validate_images: false,
-            verify_images: true,
-            ..EvalConfig::quick()
-        });
-        let mut validated = eval();
-        let run = |e: &mut Evaluator| {
-            let r = e
-                .run(Benchmark::Crc32, Scheme::FfwBbr, MilliVolts::new(480))
-                .expect("sound image must pass the dataflow proofs");
-            (
-                r.failed_links,
-                r.trials
-                    .iter()
-                    .map(|t| (t.result.cycles, t.result.mem.l2_accesses))
-                    .collect::<Vec<_>>(),
-            )
-        };
-        assert_eq!(run(&mut verified), run(&mut validated));
     }
 
     #[test]

@@ -155,6 +155,15 @@ impl Scheme {
             Scheme::TsCache => "TS-Cache",
         }
     }
+
+    /// Looks a scheme up by its figure-legend name, ignoring ASCII case
+    /// (`"FFW+BBR"`, `"defect-free"`, ...). Allocation-free: the
+    /// campaign server calls it on every point query.
+    pub fn parse(name: &str) -> Option<Scheme> {
+        Scheme::ALL
+            .into_iter()
+            .find(|s| s.name().eq_ignore_ascii_case(name))
+    }
 }
 
 impl fmt::Display for Scheme {
@@ -216,6 +225,16 @@ mod tests {
     fn names_match_legends() {
         assert_eq!(Scheme::FfwBbr.to_string(), "FFW+BBR");
         assert_eq!(Scheme::FbaPlus.to_string(), "FBA+");
+    }
+
+    #[test]
+    fn parse_is_case_insensitive_over_all_variants() {
+        assert_eq!(Scheme::parse("FFW+BBR"), Some(Scheme::FfwBbr));
+        assert_eq!(Scheme::parse("ffw+bbr"), Some(Scheme::FfwBbr));
+        for s in Scheme::ALL {
+            assert_eq!(Scheme::parse(s.name()), Some(s));
+        }
+        assert_eq!(Scheme::parse("FFW"), None);
     }
 
     #[test]

@@ -960,9 +960,9 @@ mod tests {
             "index.bin",
             "cell-0123456789abcdef-0.bin", // slot 0 has no suffix
             "cell-0123456789abcdef-01.bin",
-            "cell-0123456789abcde.bin",     // 15 hex digits
-            "cell-0123456789abcdef0.bin",   // 17 hex digits
-            "cell-0123456789abcdeg.bin",    // non-hex
+            "cell-0123456789abcde.bin",   // 15 hex digits
+            "cell-0123456789abcdef0.bin", // 17 hex digits
+            "cell-0123456789abcdeg.bin",  // non-hex
             "cell-0123456789abcdef.bin.bak",
             "cell-0123456789abcdef.tmp.1.2",
             "notes.bin",
@@ -1150,7 +1150,11 @@ mod tests {
             }
         }
         // Plant a stranded temp file and reopen over-cap.
-        fs::write(dir.join(format!("cell-{:016x}.tmp.{}.0", 1u64, u32::MAX)), b"x").unwrap();
+        fs::write(
+            dir.join(format!("cell-{:016x}.tmp.{}.0", 1u64, u32::MAX)),
+            b"x",
+        )
+        .unwrap();
         let store = ResultStore::open(&dir).unwrap();
         let full = store.stats().bytes;
         store.set_max_bytes(Some(full / 2));

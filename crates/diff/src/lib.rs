@@ -25,8 +25,9 @@
 //!   the same ddmin and render as tests.
 //!
 //! The `dvs-diff` binary (in `dvs-bench`) sweeps all of the above over
-//! bench10 and the tier-1 voltages and exits non-zero on any deny
-//! diagnostic, mirroring `dvs-lint`.
+//! bench10 and the tier-1 voltages, names [`LINTS`] in its `--json`
+//! envelope and, like every sweep tool, exits 1 on any deny diagnostic
+//! and 2 on a usage error.
 //!
 //! # Example
 //!
@@ -51,9 +52,36 @@ pub mod oracles;
 pub mod shrink;
 pub mod stream;
 
+use dvs_analysis::LintMeta;
+
 pub use bounded::{bounded_suite, check_sequences, Op, Violation};
 pub use shrink::{ddmin, render_fault_addition_test, render_pair_test, shrink_case, Case};
 pub use stream::{
     first_behavioral_divergence, first_divergence, replays, run_stream, synthetic_stream,
     word_misses, Access, Event,
 };
+
+const fn deny(name: &'static str) -> LintMeta {
+    LintMeta {
+        name,
+        level: "deny",
+    }
+}
+
+/// Every lint the [`oracles`] and [`metamorphic`] families report, with
+/// the severity they report it at, for a report envelope's lint table.
+pub const LINTS: [LintMeta; 10] = [
+    deny(oracles::LINT_CLEAN_MAP),
+    deny(oracles::LINT_SA_DM),
+    deny(oracles::LINT_HALVING),
+    deny(metamorphic::LINT_FAULT_ADD),
+    deny(metamorphic::LINT_VOLTAGE),
+    deny(metamorphic::LINT_NESTED),
+    deny(metamorphic::LINT_WINDOW),
+    deny(oracles::LINT_PACKED),
+    LintMeta {
+        name: oracles::LINT_HYPOTHESIS,
+        level: "warn",
+    },
+    deny(oracles::LINT_PERSISTENCE),
+];

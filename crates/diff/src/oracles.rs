@@ -460,7 +460,15 @@ pub fn persistence_identity(
         std::env::temp_dir().join(format!("dvs-diff-capped-{}-{seed}", std::process::id()));
     let _ = std::fs::remove_dir_all(&store_dir);
     let _ = std::fs::remove_dir_all(&capped_dir);
-    let variants: [(&str, Option<&std::path::Path>, Option<u64>, bool, bool); 6] = [
+    // (label, store directory, size cap, recorder on, buffer reuse)
+    type Variant<'a> = (
+        &'a str,
+        Option<&'a std::path::Path>,
+        Option<u64>,
+        bool,
+        bool,
+    );
+    let variants: [Variant<'_>; 6] = [
         ("store-backed", Some(store_dir.as_path()), None, false, true),
         (
             "store-reloaded",

@@ -76,11 +76,11 @@ impl CampaignSpec {
 
         let benchmarks = string_list(&value, "benchmarks")?
             .iter()
-            .map(|name| parse_benchmark(name).ok_or_else(|| format!("unknown benchmark {name:?}")))
+            .map(|name| Benchmark::parse(name).ok_or_else(|| format!("unknown benchmark {name:?}")))
             .collect::<Result<Vec<_>, _>>()?;
         let schemes = string_list(&value, "schemes")?
             .iter()
-            .map(|name| parse_scheme(name).ok_or_else(|| format!("unknown scheme {name:?}")))
+            .map(|name| Scheme::parse(name).ok_or_else(|| format!("unknown scheme {name:?}")))
             .collect::<Result<Vec<_>, _>>()?;
 
         let raw_voltages = value
@@ -185,23 +185,6 @@ fn integer_in(v: &Value, what: &str, lo: u64, hi: u64) -> Result<u64, String> {
         return Err(format!("{what} must be in [{lo}, {hi}], got {n}"));
     }
     Ok(n)
-}
-
-/// Looks a benchmark up by its paper name (`"401.bzip2"`) or its bare
-/// name (`"bzip2"`), the same aliases `dvs-profile` accepts.
-pub fn parse_benchmark(name: &str) -> Option<Benchmark> {
-    Benchmark::ALL.into_iter().find(|b| {
-        let full = b.name();
-        full == name || full.split_once('.').is_some_and(|(_, bare)| bare == name)
-    })
-}
-
-/// Looks a scheme up by its figure-legend name, case-insensitively
-/// (`"FFW+BBR"`, `"defect-free"`, ...).
-pub fn parse_scheme(name: &str) -> Option<Scheme> {
-    Scheme::ALL
-        .into_iter()
-        .find(|s| s.name().eq_ignore_ascii_case(name))
 }
 
 /// Reconstructs a cell's engine-level result from its stored payload:
@@ -340,25 +323,6 @@ pub fn render_direct(
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn benchmark_lookup_accepts_full_and_bare_names() {
-        assert_eq!(parse_benchmark("401.bzip2"), Some(Benchmark::Bzip2));
-        assert_eq!(parse_benchmark("bzip2"), Some(Benchmark::Bzip2));
-        assert_eq!(parse_benchmark("crc32"), Some(Benchmark::Crc32));
-        assert_eq!(parse_benchmark("999.nope"), None);
-        assert_eq!(parse_benchmark(""), None);
-    }
-
-    #[test]
-    fn scheme_lookup_is_case_insensitive_over_all_variants() {
-        assert_eq!(parse_scheme("FFW+BBR"), Some(Scheme::FfwBbr));
-        assert_eq!(parse_scheme("ffw+bbr"), Some(Scheme::FfwBbr));
-        for s in Scheme::ALL {
-            assert_eq!(parse_scheme(s.name()), Some(s));
-        }
-        assert_eq!(parse_scheme("FFW"), None);
-    }
 
     #[test]
     fn spec_parsing_round_trips_a_valid_request() {

@@ -18,9 +18,11 @@ use std::time::{Duration, Instant};
 use dvs_cluster::coordinator::CellOutcome;
 use dvs_cluster::proto::{cell_payload_from_hex, cell_payload_to_hex, cell_to_json, UnitRef};
 use dvs_cluster::{Coordinator, WireConfig};
+use dvs_core::Scheme;
 use dvs_obs::json::Value;
 use dvs_obs::{MetricsRegistry, Recorder};
 use dvs_sram::MilliVolts;
+use dvs_workloads::Benchmark;
 
 use crate::api::{self, CampaignSpec};
 use crate::http::{HttpConn, Request, RequestError, Response, DEFAULT_MAX_BODY_BYTES};
@@ -373,12 +375,12 @@ fn submit_campaign(shared: &Arc<Shared>, req: &Request) -> Response {
 }
 
 fn store_query(shared: &Arc<Shared>, req: &Request) -> Response {
-    let benchmark = match req.query_param("benchmark").map(api::parse_benchmark) {
+    let benchmark = match req.query_param("benchmark").map(Benchmark::parse) {
         Some(Some(b)) => b,
         Some(None) => return Response::error(400, "unknown benchmark"),
         None => return Response::error(400, "missing query parameter \"benchmark\""),
     };
-    let scheme = match req.query_param("scheme").map(api::parse_scheme) {
+    let scheme = match req.query_param("scheme").map(Scheme::parse) {
         Some(Some(s)) => s,
         Some(None) => return Response::error(400, "unknown scheme"),
         None => return Response::error(400, "missing query parameter \"scheme\""),
@@ -411,10 +413,14 @@ fn store_query(shared: &Arc<Shared>, req: &Request) -> Response {
         .header("accept")
         .is_some_and(|v| v.contains("application/octet-stream"));
     if wants_binary {
-        return match shared
-            .jobs
-            .store_lookup_bytes(benchmark, scheme, vcc, maps, trace_instrs, seed)
-        {
+        return match shared.jobs.store_lookup_bytes(
+            benchmark,
+            scheme,
+            vcc,
+            maps,
+            trace_instrs,
+            seed,
+        ) {
             Some(bytes) => Response::binary(200, bytes),
             None => Response::error(404, "no stored result for this cell at these settings"),
         };

@@ -243,7 +243,11 @@ fn campaign_over_tcp_is_byte_identical_to_direct_run() {
         Some("application/octet-stream")
     );
     let stored = dvs_core::StoredCell::from_bytes(&raw).expect("binary body decodes");
-    assert_eq!(stored.to_bytes(), raw, "wire bytes are the canonical encoding");
+    assert_eq!(
+        stored.to_bytes(),
+        raw,
+        "wire bytes are the canonical encoding"
+    );
     let key = dvs_core::CellKey::new(
         dvs_workloads::Benchmark::Crc32,
         dvs_core::Scheme::DefectFree,

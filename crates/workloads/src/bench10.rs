@@ -72,6 +72,19 @@ impl Benchmark {
         }
     }
 
+    /// Looks a benchmark up by its paper name (`"401.bzip2"`) or its
+    /// bare name (`"bzip2"`), ignoring ASCII case. Allocation-free: the
+    /// campaign server calls it on every point query.
+    pub fn parse(name: &str) -> Option<Benchmark> {
+        Benchmark::ALL.into_iter().find(|b| {
+            let full = b.name();
+            full.eq_ignore_ascii_case(name)
+                || full
+                    .split_once('.')
+                    .is_some_and(|(_, bare)| bare.eq_ignore_ascii_case(name))
+        })
+    }
+
     /// Data-side calibration targets, set from the paper's Figure 3
     /// description of each benchmark.
     pub fn data_params(self) -> DataParams {
@@ -326,6 +339,18 @@ mod tests {
         let names: std::collections::HashSet<&str> =
             Benchmark::ALL.iter().map(|b| b.name()).collect();
         assert_eq!(names.len(), 10);
+    }
+
+    #[test]
+    fn parse_accepts_paper_and_bare_names_in_any_case() {
+        assert_eq!(Benchmark::parse("401.bzip2"), Some(Benchmark::Bzip2));
+        assert_eq!(Benchmark::parse("bzip2"), Some(Benchmark::Bzip2));
+        assert_eq!(Benchmark::parse("CRC32"), Some(Benchmark::Crc32));
+        assert_eq!(Benchmark::parse("999.nope"), None);
+        assert_eq!(Benchmark::parse(""), None);
+        for b in Benchmark::ALL {
+            assert_eq!(Benchmark::parse(b.name()), Some(b));
+        }
     }
 
     #[test]

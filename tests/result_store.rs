@@ -306,8 +306,7 @@ fn corrupted_store_files_fall_back_to_recompute() {
 
     // Vandalize every cell file a different way — and the sidecar index
     // outright, which the next open must rebuild from a directory scan.
-    let mut mode = 0u8;
-    for name in cell_files(&dir) {
+    for (mode, name) in cell_files(&dir).into_iter().enumerate() {
         let path = dir.join(&name);
         let bytes = std::fs::read(&path).expect("cell file reads");
         match mode % 3 {
@@ -320,7 +319,6 @@ fn corrupted_store_files_fall_back_to_recompute() {
                 std::fs::write(&path, &flipped).unwrap();
             }
         }
-        mode += 1;
     }
     std::fs::write(dir.join("index.bin"), b"rotten index").unwrap();
 
@@ -348,7 +346,10 @@ fn orphaned_tmp_files_from_dead_processes_are_swept() {
     // allocates pids anywhere near u32::MAX).
     let dead = u32::MAX;
     for seq in 0..3 {
-        let name = format!("cell-{:016x}.tmp.{dead}.{seq}", 0xdead_beef_u64 + seq as u64);
+        let name = format!(
+            "cell-{:016x}.tmp.{dead}.{seq}",
+            0xdead_beef_u64 + seq as u64
+        );
         std::fs::write(dir.join(name), b"half-written cell image").unwrap();
     }
 
