@@ -11,8 +11,8 @@
 //! `verify/value-range`, `verify/remap-liveness`). The fault sets nest by
 //! construction, so a finding at a lower rung but not above it localises
 //! the voltage where an image first becomes unsafe. Maps the linker
-//! cannot place (expected at deep voltage) are reported as warnings: the
-//! lints judge successful links only.
+//! cannot place (expected at deep voltage) are reported as `link-failure`
+//! warnings: the lints judge successful links only.
 //!
 //! With `--bounded-depth N` (default 4, `0` disables) the bounded model
 //! checker additionally proves the scheme state machines' LRU-stack,
@@ -27,7 +27,9 @@ use std::process::ExitCode;
 use dvs_analysis::{AnalysisInput, LintMeta, LintRegistry, Report, Severity};
 use dvs_bench::sweep::{Flag, SweepArgs, Tool};
 use dvs_diff::bounded_suite;
-use dvs_linker::{adaptive_max_block_words, bbr_transform, BbrLinker, Diagnostic, Location};
+use dvs_linker::{
+    adaptive_max_block_words, bbr_transform, lint_ids, BbrLinker, Diagnostic, Location,
+};
 use dvs_sram::{CacheGeometry, FaultMap, FaultModel};
 use dvs_workloads::Layout;
 
@@ -110,7 +112,7 @@ fn run(args: &SweepArgs, bounded_depth: usize, inject_misplacement: bool) -> Vec
                             })
                         }
                         Err(e) => vec![Diagnostic::warn(
-                            "link-failure",
+                            lint_ids::LINK_FAILURE,
                             Location::Image,
                             format!("linker gave up at {mv} mV: {e}"),
                         )],
@@ -138,9 +140,13 @@ fn lint_metas(bounded_depth: usize) -> Vec<LintMeta> {
             level: l.severity().name(),
         })
         .collect();
+    metas.push(LintMeta {
+        name: lint_ids::LINK_FAILURE,
+        level: Severity::Warn.name(),
+    });
     if bounded_depth > 0 {
         metas.push(LintMeta {
-            name: dvs_linker::lint_ids::VERIFY_BOUNDED_MODEL,
+            name: lint_ids::VERIFY_BOUNDED_MODEL,
             level: Severity::Deny.name(),
         });
     }

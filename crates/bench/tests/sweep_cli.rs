@@ -133,10 +133,7 @@ fn balanced(json: &str) -> bool {
 
 /// Asserts that every finding in an envelope names a lint its table
 /// lists at the finding's severity, so the table cannot fall behind what
-/// the passes report. A chain the linker cannot place adds a
-/// `link-failure` warning, which is no pass and not in the table; the
-/// runs checked here link every chain. Returns how many findings were
-/// checked.
+/// the passes report. Returns how many findings were checked.
 fn findings_match_lint_table(json: &str) -> usize {
     let mut checked = 0;
     for finding in json.split("{\"lint\":\"").skip(1) {
@@ -189,6 +186,33 @@ fn seeded_faults_report_only_tabled_lints() {
     );
     assert_eq!(diff.status.code(), Some(1));
     assert!(findings_match_lint_table(stdout(&diff).trim()) > 0);
+}
+
+#[test]
+fn link_failures_are_tabled_warnings() {
+    // At 340 mV the linker cannot place crc32: a warning, not a deny.
+    let out = run(
+        env!("CARGO_BIN_EXE_dvs-verify"),
+        &[
+            "--benchmarks",
+            "crc32",
+            "--voltages",
+            "340",
+            "--maps",
+            "1",
+            "--bounded-depth",
+            "0",
+            "--json",
+        ],
+    );
+    assert_eq!(out.status.code(), Some(0));
+    let text = stdout(&out);
+    let json = text.trim();
+    assert!(
+        json.contains("{\"lint\":\"link-failure\",\"severity\":\"warn\""),
+        "no link failure in {json}"
+    );
+    assert!(findings_match_lint_table(json) > 0);
 }
 
 #[test]

@@ -1,10 +1,12 @@
 //! Tag-array machinery with run-time switchable associativity.
 
+use std::ops::Range;
+
 use serde::{Deserialize, Serialize};
 
 use dvs_sram::{CacheGeometry, FrameId};
 
-use crate::{Addr, LruQueue};
+use crate::{lru, Addr};
 
 /// Operating mode of a [`CacheCore`].
 ///
@@ -81,7 +83,9 @@ pub struct CacheCore {
     mode: CacheMode,
     /// `frames[set * ways + way]`.
     frames: Vec<Frame>,
-    lru: Vec<LruQueue>,
+    /// Every set's recency order in one array: set `s` owns
+    /// `lru[s * ways..(s + 1) * ways]` (see [`crate::LruQueue`]).
+    lru: Vec<u8>,
     /// Valid lines dropped by [`CacheCore::invalidate`] and
     /// [`CacheCore::invalidate_all`] over the cache's lifetime.
     invalidations: u64,
@@ -98,9 +102,11 @@ impl CacheCore {
             };
             geometry.total_lines() as usize
         ];
-        let lru = (0..geometry.sets())
-            .map(|_| LruQueue::new(geometry.ways()))
-            .collect();
+        lru::assert_ways(geometry.ways());
+        let mut lru = vec![0; geometry.total_lines() as usize];
+        for order in lru.chunks_exact_mut(geometry.ways() as usize) {
+            lru::reset(order);
+        }
         CacheCore {
             geometry,
             mode: CacheMode::SetAssociative,
@@ -143,8 +149,8 @@ impl CacheCore {
             f.valid = false;
             f.dirty = false;
         }
-        for q in &mut self.lru {
-            q.reset();
+        for order in self.lru.chunks_exact_mut(self.geometry.ways() as usize) {
+            lru::reset(order);
         }
     }
 
@@ -158,6 +164,19 @@ impl CacheCore {
 
     fn frame_index(&self, frame: FrameId) -> usize {
         (frame.set * self.geometry.ways() + frame.way) as usize
+    }
+
+    /// Where `set`'s recency order lies in `lru`.
+    fn order(&self, set: u32) -> Range<usize> {
+        let ways = self.geometry.ways() as usize;
+        let start = set as usize * ways;
+        start..start + ways
+    }
+
+    /// Marks `frame` most recently used in its set.
+    fn touch(&mut self, frame: FrameId) {
+        let order = self.order(frame.set);
+        lru::touch(&mut self.lru[order], frame.way);
     }
 
     /// The frame a block maps to in direct-mapped mode: the combined
@@ -202,7 +221,7 @@ impl CacheCore {
         let result = self.probe(addr);
         if let LookupResult::Hit { frame } = result {
             if self.mode == CacheMode::SetAssociative {
-                self.lru[frame.set as usize].touch(frame.way);
+                self.touch(frame);
             }
         }
         result
@@ -216,7 +235,7 @@ impl CacheCore {
                 let set = addr.set_index(&self.geometry);
                 FrameId {
                     set,
-                    way: self.lru[set as usize].victim(),
+                    way: lru::victim(&self.lru[self.order(set)]),
                 }
             }
             CacheMode::DirectMapped => self.direct_mapped_frame(addr),
@@ -252,7 +271,7 @@ impl CacheCore {
             dirty: false,
         };
         if self.mode == CacheMode::SetAssociative {
-            self.lru[frame.set as usize].touch(frame.way);
+            self.touch(frame);
         }
         (frame, evicted)
     }
@@ -292,7 +311,7 @@ impl CacheCore {
             dirty: false,
         };
         if self.mode == CacheMode::SetAssociative {
-            self.lru[frame.set as usize].touch(frame.way);
+            self.touch(frame);
         }
         (frame, evicted)
     }
@@ -303,7 +322,7 @@ impl CacheCore {
     ///
     /// Panics if `set` or `way` is out of range.
     pub fn way_rank(&self, set: u32, way: u32) -> u32 {
-        self.lru[set as usize].rank(way)
+        lru::rank(&self.lru[self.order(set)], way)
     }
 
     /// Marks the block containing `addr` dirty if present; returns whether

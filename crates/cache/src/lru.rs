@@ -1,6 +1,51 @@
-//! True-LRU replacement state for one cache set.
+//! True-LRU replacement state.
+//!
+//! One set's state is its recency order: the way indices from most to
+//! least recently used, one byte each. The functions below run on one
+//! set's slice of that order. [`crate::CacheCore`] keeps every set's order
+//! in one flat array and [`LruQueue`] owns a single set's, so both run the
+//! same code.
 
 use serde::{Deserialize, Serialize};
+
+/// Panics unless `ways` fits a one-byte way index.
+pub(crate) fn assert_ways(ways: u32) {
+    assert!(ways > 0 && ways <= 255, "unsupported way count {ways}");
+}
+
+/// Recency rank of `way` in `order`: 0 = most recent.
+///
+/// # Panics
+///
+/// Panics if `way` is out of range.
+pub(crate) fn rank(order: &[u8], way: u32) -> u32 {
+    order
+        .iter()
+        .position(|&w| u32::from(w) == way)
+        .unwrap_or_else(|| panic!("way {way} out of range {}", order.len())) as u32
+}
+
+/// Marks `way` most recently used in `order`.
+///
+/// # Panics
+///
+/// Panics if `way` is out of range.
+pub(crate) fn touch(order: &mut [u8], way: u32) {
+    let pos = rank(order, way) as usize;
+    order[..=pos].rotate_right(1);
+}
+
+/// The least recently used way in `order` (the replacement victim).
+pub(crate) fn victim(order: &[u8]) -> u32 {
+    u32::from(*order.last().expect("order is never empty"))
+}
+
+/// Restores the fresh order: way 0 most recent, the highest way the victim.
+pub(crate) fn reset(order: &mut [u8]) {
+    for (way, w) in order.iter_mut().enumerate() {
+        *w = way as u8;
+    }
+}
 
 /// A true-LRU recency queue over the ways of one set.
 ///
@@ -31,10 +76,10 @@ impl LruQueue {
     ///
     /// Panics if `ways` is 0 or exceeds 255.
     pub fn new(ways: u32) -> Self {
-        assert!(ways > 0 && ways <= 255, "unsupported way count {ways}");
-        LruQueue {
-            order: (0..ways as u8).collect(),
-        }
+        assert_ways(ways);
+        let mut order = vec![0; ways as usize];
+        reset(&mut order);
+        LruQueue { order }
     }
 
     /// Number of ways tracked.
@@ -48,25 +93,19 @@ impl LruQueue {
     ///
     /// Panics if `way` is out of range.
     pub fn touch(&mut self, way: u32) {
-        let pos = self
-            .order
-            .iter()
-            .position(|&w| u32::from(w) == way)
-            .unwrap_or_else(|| panic!("way {way} out of range {}", self.order.len()));
-        let w = self.order.remove(pos);
-        self.order.insert(0, w);
+        touch(&mut self.order, way);
     }
 
     /// The least recently used way (the replacement victim).
     pub fn victim(&self) -> u32 {
-        u32::from(*self.order.last().expect("queue is never empty"))
+        victim(&self.order)
     }
 
     /// Restores the freshly-constructed recency order (way 0 most recent,
     /// highest way the victim), as after a whole-cache invalidation. A
     /// reset queue is indistinguishable from `LruQueue::new(self.ways())`.
     pub fn reset(&mut self) {
-        self.order.sort_unstable();
+        reset(&mut self.order);
     }
 
     /// Recency rank of `way`: 0 = most recent.
@@ -75,10 +114,7 @@ impl LruQueue {
     ///
     /// Panics if `way` is out of range.
     pub fn rank(&self, way: u32) -> u32 {
-        self.order
-            .iter()
-            .position(|&w| u32::from(w) == way)
-            .unwrap_or_else(|| panic!("way {way} out of range {}", self.order.len())) as u32
+        rank(&self.order, way)
     }
 }
 

@@ -214,6 +214,9 @@ pub mod lint_ids {
     /// Bounded exhaustive checking of scheme state machines over tiny
     /// geometries (LRU-stack, inclusion, clean-map equivalence).
     pub const VERIFY_BOUNDED_MODEL: &str = "verify/bounded-model";
+    /// Warn-level: the linker could not place a program over a fault map
+    /// (expected at deep voltage), so no lint judged that image.
+    pub const LINK_FAILURE: &str = "link-failure";
 }
 
 #[cfg(test)]

@@ -74,14 +74,15 @@ pub struct FaultChain {
 }
 
 /// Sampler state of a correlated backend: the die's fixed weak
-/// structure (multipliers), fixed per-word uniforms, the multiplier
-/// classes the threshold solver walks, and the threshold already
-/// applied. All derived purely from `(model, geometry, seed)` — no
-/// per-rung re-seeding, so nesting cannot regress (see
+/// structure (each word's multiplier class), fixed per-word uniforms,
+/// the multiplier classes the threshold solver walks, and the threshold
+/// already applied. All derived purely from `(model, geometry, seed)` —
+/// no per-rung re-seeding, so nesting cannot regress (see
 /// [`crate::FaultModel`]).
 #[derive(Debug, Clone)]
 struct Correlated {
-    multipliers: Vec<f64>,
+    /// Each word's index into `classes`.
+    class_of: Vec<u8>,
     uniforms: Vec<f64>,
     classes: Vec<(f64, f64)>,
     t_current: f64,
@@ -112,8 +113,22 @@ impl FaultChain {
         } else {
             let multipliers = model.multipliers(geometry, seed);
             let classes = multiplier_classes(&multipliers);
+            assert!(
+                classes.len() <= usize::from(u8::MAX) + 1,
+                "{} multiplier classes overflow a one-byte class index",
+                classes.len()
+            );
+            let class_of = multipliers
+                .iter()
+                .map(|&m| {
+                    classes
+                        .iter()
+                        .position(|&(value, _)| value == m)
+                        .expect("every multiplier has a class") as u8
+                })
+                .collect();
             Some(Correlated {
-                multipliers,
+                class_of,
                 uniforms: FaultModel::uniforms(geometry, seed),
                 classes,
                 t_current: 0.0,
@@ -187,9 +202,16 @@ impl FaultChain {
                 // the rung already applied so float noise in the solver
                 // can never un-fault a word.
                 let t = threshold_for(&state.classes, p).max(state.t_current);
+                // min(1, m_i · t) once per class: the same f64 the
+                // per-word product gives, since a class holds equal m_i.
+                let thresholds: Vec<f64> = state
+                    .classes
+                    .iter()
+                    .map(|&(m, _)| (m * t).min(1.0))
+                    .collect();
                 let grid = self.map.words_mut();
-                for i in 0..grid.len() {
-                    if !grid.get(i) && state.uniforms[i] < (state.multipliers[i] * t).min(1.0) {
+                for (i, (&u, &class)) in state.uniforms.iter().zip(&state.class_of).enumerate() {
+                    if !grid.get(i) && u < thresholds[usize::from(class)] {
                         grid.set(i, true);
                         delta.push(i as u32);
                     }
@@ -359,6 +381,60 @@ mod tests {
 
     const IID_GOLDEN_COUNT: usize = 763;
     const IID_GOLDEN_FIRST8: &[u32] = &[1, 5, 19, 26, 74, 77, 85, 101];
+
+    /// Golden pins of the correlated streams, like the i.i.d. pin: the
+    /// row/column and clustered maps for seed 42 at p = 0.1. A drift
+    /// silently changes every cell stored under seed schema v3.
+    #[test]
+    fn rowcol_stream_is_pinned() {
+        let mut chain = FaultChain::with_model(&geom(), 42, FaultModel::row_column());
+        let delta = chain.advance_to(0.1);
+        assert_eq!(delta.len(), chain.map().faulty_words());
+        assert_eq!(chain.map().faulty_words(), ROWCOL_GOLDEN_COUNT);
+        assert_eq!(&delta[..8], ROWCOL_GOLDEN_FIRST8);
+    }
+
+    const ROWCOL_GOLDEN_COUNT: usize = 804;
+    const ROWCOL_GOLDEN_FIRST8: &[u32] = &[2, 4, 5, 43, 48, 69, 72, 79];
+
+    #[test]
+    fn clustered_stream_is_pinned() {
+        let mut chain = FaultChain::with_model(&geom(), 42, FaultModel::clustered());
+        let delta = chain.advance_to(0.1);
+        assert_eq!(delta.len(), chain.map().faulty_words());
+        assert_eq!(chain.map().faulty_words(), CLUSTERED_GOLDEN_COUNT);
+        assert_eq!(&delta[..8], CLUSTERED_GOLDEN_FIRST8);
+    }
+
+    const CLUSTERED_GOLDEN_COUNT: usize = 855;
+    const CLUSTERED_GOLDEN_FIRST8: &[u32] = &[2, 4, 5, 13, 33, 48, 50, 58];
+
+    /// The class-indexed rung test agrees with the per-word test
+    /// `u_i < min(1, m_i · t)` it replaced, at every rung.
+    #[test]
+    fn class_thresholds_match_the_per_word_test() {
+        for model in [FaultModel::row_column(), FaultModel::clustered()] {
+            for seed in [1u64, 42] {
+                let m = model.multipliers(&geom(), seed);
+                let u = FaultModel::uniforms(&geom(), seed);
+                let classes = multiplier_classes(&m);
+                let mut chain = FaultChain::with_model(&geom(), seed, model);
+                let mut t = 0.0f64;
+                for p in [0.001, 0.02, 0.1, 0.3, 1.0] {
+                    chain.advance_to(p);
+                    t = threshold_for(&classes, p).max(t);
+                    for (i, (&mi, &ui)) in m.iter().zip(&u).enumerate() {
+                        assert_eq!(
+                            chain.map().linear_is_faulty(i as u32),
+                            ui < (mi * t).min(1.0),
+                            "{} seed {seed} word {i} at p {p}",
+                            model.name()
+                        );
+                    }
+                }
+            }
+        }
+    }
 
     /// Correlated chains are path-independent: stepping through
     /// intermediate rungs or jumping straight to the bottom yields the

@@ -61,6 +61,57 @@ fn factor(milli: u32) -> f64 {
     (f64::from(milli) / 1000.0).max(1.0)
 }
 
+/// The `centers` cluster centres of one die as (row, column) points on a
+/// `rows` × `cols` torus. Both sides are powers of two, so masking the
+/// hash halves draws centres uniformly.
+fn cluster_centers(centers: u32, seed: u64, rows: usize, cols: usize) -> Vec<(usize, usize)> {
+    let center_seed = mix(seed, STREAM_CENTERS);
+    (0..centers)
+        .map(|k| {
+            let h = mix(center_seed, u64::from(k) + 1);
+            (
+                ((h >> 32) & (rows as u64 - 1)) as usize,
+                (h & (cols as u64 - 1)) as usize,
+            )
+        })
+        .collect()
+}
+
+/// Each word's toroidal Chebyshev distance to its nearest centre, in the
+/// fault map's linear word order, or `u32::MAX` where no centre lies
+/// within `radius`.
+///
+/// Each centre stamps only its (2r+1)×(2r+1) window with the offset's
+/// Chebyshev distance, keeping the minimum per word. An offset that wraps
+/// onto a word is never shorter than the word's toroidal distance, so the
+/// minimum is that distance even when the window is wider than the torus.
+/// Offsets past half a side only repeat nearer ones, so the window is
+/// clamped there and a huge radius costs one pass over the torus per
+/// centre.
+fn nearest_center_distances(
+    pts: &[(usize, usize)],
+    rows: usize,
+    cols: usize,
+    radius: u32,
+) -> Vec<u32> {
+    let mut best = vec![u32::MAX; rows * cols];
+    let reach_r = (radius as usize).min(rows / 2);
+    let reach_c = (radius as usize).min(cols / 2);
+    for &(cr, cc) in pts {
+        for dr in 0..=2 * reach_r {
+            let r = (cr + rows + dr - reach_r) % rows;
+            let off_r = dr.abs_diff(reach_r);
+            let row = &mut best[r * cols..(r + 1) * cols];
+            for dc in 0..=2 * reach_c {
+                let c = (cc + cols + dc - reach_c) % cols;
+                let d = off_r.max(dc.abs_diff(reach_c)) as u32;
+                row[c] = row[c].min(d);
+            }
+        }
+    }
+    best
+}
+
 /// Spatial structure of Monte-Carlo fault maps.
 ///
 /// Parameters are integer fixed-point (`ppm` fractions, `milli` factors)
@@ -199,36 +250,16 @@ impl FaultModel {
                 factor_milli,
                 radius,
             } => {
-                let rows = geometry.total_lines() as i64;
-                let cols = wpb as i64;
+                let rows = geometry.total_lines() as usize;
                 let peak = factor(factor_milli);
-                let center_seed = mix(seed, STREAM_CENTERS);
-                // total_lines and words_per_block are powers of two, so
-                // masking the hash halves draws centers uniformly.
-                let pts: Vec<(i64, i64)> = (0..centers)
-                    .map(|k| {
-                        let h = mix(center_seed, u64::from(k) + 1);
-                        (
-                            ((h >> 32) & (rows as u64 - 1)) as i64,
-                            (h & (cols as u64 - 1)) as i64,
-                        )
-                    })
-                    .collect();
-                (0..n as i64)
-                    .map(|i| {
-                        let (r, c) = (i / cols, i % cols);
-                        let mut best = u32::MAX;
-                        for &(cr, cc) in &pts {
-                            let dr = (r - cr).abs();
-                            let dc = (c - cc).abs();
-                            let dr = dr.min(rows - dr) as u32;
-                            let dc = dc.min(cols - dc) as u32;
-                            best = best.min(dr.max(dc));
-                        }
-                        if best > radius {
+                let pts = cluster_centers(centers, seed, rows, wpb);
+                nearest_center_distances(&pts, rows, wpb, radius)
+                    .into_iter()
+                    .map(|d| {
+                        if d > radius {
                             1.0
                         } else {
-                            1.0 + (peak - 1.0) * 0.5f64.powi(best as i32)
+                            1.0 + (peak - 1.0) * 0.5f64.powi(d as i32)
                         }
                     })
                     .collect()
@@ -250,17 +281,17 @@ impl FaultModel {
 /// Groups equal multipliers into `(multiplier, count)` classes sorted by
 /// descending multiplier — the form [`threshold_for`] consumes. The
 /// class count is tiny (≤ 4 for row/column, ≤ `radius + 2` for
-/// clustered) because multipliers come from small exact value sets.
+/// clustered) because multipliers come from small exact value sets, so
+/// the values are grouped in one pass and only the classes are sorted.
 pub fn multiplier_classes(multipliers: &[f64]) -> Vec<(f64, f64)> {
-    let mut sorted = multipliers.to_vec();
-    sorted.sort_by(|a, b| b.partial_cmp(a).expect("multipliers are finite"));
     let mut classes: Vec<(f64, f64)> = Vec::new();
-    for m in sorted {
-        match classes.last_mut() {
-            Some((value, count)) if *value == m => *count += 1.0,
-            _ => classes.push((m, 1.0)),
+    for &m in multipliers {
+        match classes.iter_mut().find(|(value, _)| *value == m) {
+            Some((_, count)) => *count += 1.0,
+            None => classes.push((m, 1.0)),
         }
     }
+    classes.sort_by(|a, b| b.0.partial_cmp(&a.0).expect("multipliers are finite"));
     classes
 }
 
@@ -310,9 +341,115 @@ pub fn threshold_for(classes: &[(f64, f64)], p: f64) -> f64 {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
 
     fn geom() -> CacheGeometry {
         CacheGeometry::dsn_l1()
+    }
+
+    /// The clustered multipliers by the per-word scan: every word against
+    /// every centre. The reference the stamped construction must match
+    /// bit for bit.
+    fn reference_clustered(
+        geometry: &CacheGeometry,
+        seed: u64,
+        centers: u32,
+        factor_milli: u32,
+        radius: u32,
+    ) -> Vec<f64> {
+        let rows = geometry.total_lines() as i64;
+        let cols = geometry.words_per_block() as i64;
+        let peak = factor(factor_milli);
+        let pts = cluster_centers(centers, seed, rows as usize, cols as usize);
+        (0..rows * cols)
+            .map(|i| {
+                let (r, c) = (i / cols, i % cols);
+                let mut best = u32::MAX;
+                for &(cr, cc) in &pts {
+                    let dr = (r - cr as i64).abs();
+                    let dc = (c - cc as i64).abs();
+                    let dr = dr.min(rows - dr) as u32;
+                    let dc = dc.min(cols - dc) as u32;
+                    best = best.min(dr.max(dc));
+                }
+                if best > radius {
+                    1.0
+                } else {
+                    1.0 + (peak - 1.0) * 0.5f64.powi(best as i32)
+                }
+            })
+            .collect()
+    }
+
+    /// Multiplier classes by sorting every value and grouping runs: the
+    /// reference for the one-pass grouping.
+    fn reference_classes(multipliers: &[f64]) -> Vec<(f64, f64)> {
+        let mut sorted = multipliers.to_vec();
+        sorted.sort_by(|a, b| b.partial_cmp(a).expect("multipliers are finite"));
+        let mut classes: Vec<(f64, f64)> = Vec::new();
+        for m in sorted {
+            match classes.last_mut() {
+                Some((value, count)) if *value == m => *count += 1.0,
+                _ => classes.push((m, 1.0)),
+            }
+        }
+        classes
+    }
+
+    /// Small geometries as (capacity, ways, block bytes): 1 to 64 rows,
+    /// 1 to 8 columns, so every column count is ≤ 2·radius for some
+    /// radius drawn below; plus the paper's L1.
+    const SHAPES: [(u32, u32, u32); 7] = [
+        (256, 2, 32),
+        (64, 1, 8),
+        (128, 4, 16),
+        (32, 1, 32),
+        (64, 2, 4),
+        (2048, 2, 32),
+        (32 * 1024, 4, 32),
+    ];
+
+    proptest! {
+        #[test]
+        fn stamped_clusters_match_the_per_word_scan(
+            shape in 0usize..7,
+            seed: u64,
+            centers in 0u32..32,
+            factor_milli in 0u32..20_000,
+            radius_kind in 0u32..3,
+            small in 1u32..5,
+            beyond in 0u32..8,
+        ) {
+            let (capacity, ways, block) = SHAPES[shape];
+            let g = CacheGeometry::new(capacity, ways, block).unwrap();
+            // Radius 0, a small radius, or one at least the row count.
+            let radius = match radius_kind {
+                0 => 0,
+                1 => small,
+                _ => g.total_lines() + beyond,
+            };
+            let model = FaultModel::Clustered { centers, factor_milli, radius };
+            prop_assert_eq!(
+                model.multipliers(&g, seed),
+                reference_clustered(&g, seed, centers, factor_milli, radius)
+            );
+        }
+
+        #[test]
+        fn one_pass_classes_match_sort_and_group(
+            picks in proptest::collection::vec(0usize..6, 0..300),
+            fresh in proptest::collection::vec(1.0f64..100.0, 0..20),
+        ) {
+            // Mostly repeats from a small exact set, with distinct values
+            // mixed in.
+            let values = [1.0, 1.5, 3.0, 6.0, 18.0];
+            let mut fresh = fresh.into_iter();
+            let multipliers: Vec<f64> = picks
+                .iter()
+                .map(|&k| values.get(k).copied().or_else(|| fresh.next()).unwrap_or(2.5))
+                .collect();
+            prop_assert_eq!(multiplier_classes(&multipliers), reference_classes(&multipliers));
+        }
     }
 
     #[test]
