@@ -4,7 +4,7 @@
 //! A **coordinator** decomposes a campaign ([`dvs_core::ExperimentPlan`]
 //! plus the result-relevant slice of [`dvs_core::EvalConfig`]) into
 //! cell-granular work units and hands them to registered **workers**
-//! over the existing dependency-free HTTP layer (`dvs-serve` exposes the
+//! over the dependency-free HTTP layer (`dvs-serve` exposes the
 //! endpoints; `dvs-serve --join <coordinator>` runs the worker loop).
 //!
 //! The protocol is lease-based and idempotent by construction:
@@ -24,23 +24,26 @@
 //!   that any worker can tail, so after convergence *any* node answers
 //!   `GET /v1/results` for the whole campaign from its local store.
 //!
-//! Layering: [`proto`] is the pure JSON wire vocabulary, [`coordinator`]
-//! is the lock-protected lease/retry/steal state machine (time is passed
-//! in, so every transition is unit-testable without sleeping),
-//! [`client`] is a minimal keep-alive HTTP/1.1 client, and [`worker`]
-//! is the pull-execute-push loop with its heartbeat thread. Everything
+//! Layering: [`http`] is the workspace's one HTTP/1.1 codec (the server's
+//! [`http::HttpConn`] and the keep-alive [`HttpClient`] share one
+//! hardened reader and its limits; it lives here because this is the
+//! lowest crate both `dvs-serve` and the worker reach), [`proto`] is
+//! the pure JSON wire vocabulary, [`coordinator`] is the lock-protected
+//! lease/retry/steal state machine (time is passed in, so every
+//! transition is unit-testable without sleeping), and [`worker`] is the
+//! pull-execute-push loop with its heartbeat thread. Everything
 //! observable flows through `cluster.*` metrics on a shared
 //! [`dvs_obs::MetricsRegistry`].
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-pub mod client;
 pub mod coordinator;
+pub mod http;
 pub mod proto;
 pub mod worker;
 
-pub use client::HttpClient;
 pub use coordinator::{ClusterConfig, Coordinator};
+pub use http::HttpClient;
 pub use proto::{UnitRef, WireConfig};
 pub use worker::{spawn_worker, WorkerConfig, WorkerHandle};

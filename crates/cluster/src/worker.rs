@@ -27,7 +27,7 @@ use dvs_obs::json::{json_escape, Value};
 use dvs_obs::{MetricsRegistry, Recorder};
 use dvs_sram::CacheGeometry;
 
-use crate::client::HttpClient;
+use crate::http::{HttpClient, Reply, RequestError};
 use crate::proto::{
     cell_from_json, cell_payload_from_hex, cell_payload_to_hex, UnitRef, WireConfig,
 };
@@ -133,6 +133,18 @@ pub fn spawn_worker(cfg: WorkerConfig, registry: Arc<MetricsRegistry>) -> Worker
     }
 }
 
+/// Sends one request to the coordinator. Every worker request is
+/// labelled JSON; a `GET` carries an empty body.
+fn call(
+    client: &mut HttpClient,
+    method: &str,
+    path: &str,
+    body: &str,
+) -> Result<Reply, RequestError> {
+    let json = [("Content-Type", "application/json")];
+    client.request(method, path, &json, body.as_bytes())
+}
+
 /// Sleeps `total` in short slices so a stop request is honored quickly.
 fn pause(stop: &AtomicBool, total: Duration) {
     let mut left = total;
@@ -154,14 +166,11 @@ fn heartbeat_loop(
     while !stop.load(Ordering::Relaxed) {
         let id = *worker_id.lock().expect("worker id lock");
         if let Some(id) = id {
-            match client.request(
-                "POST",
-                "/v1/cluster/heartbeat",
-                Some(&format!("{{\"worker\":{id}}}")),
-            ) {
+            let body = format!("{{\"worker\":{id}}}");
+            match call(&mut client, "POST", "/v1/cluster/heartbeat", &body) {
                 // The coordinator no longer knows us (e.g. a long GC-like
                 // stall outlived the TTL): force the main loop to rejoin.
-                Ok((status, _)) if !(200..300).contains(&status) => {
+                Ok(reply) if !(200..300).contains(&reply.status) => {
                     *worker_id.lock().expect("worker id lock") = None;
                 }
                 _ => {}
@@ -215,13 +224,13 @@ impl Runtime {
                 return Some(id);
             }
             let body = format!("{{\"name\":\"{}\"}}", json_escape(&self.cfg.name));
-            let joined = match self.client.request("POST", "/v1/cluster/join", Some(&body)) {
-                Ok((200, body)) => Value::parse(&body)
-                    .ok()
-                    .and_then(|v| v.get("worker").and_then(Value::as_f64))
-                    .map(|f| f as u64),
-                _ => None,
-            };
+            let joined = call(&mut self.client, "POST", "/v1/cluster/join", &body)
+                .ok()
+                .filter(|reply| reply.status == 200)
+                .as_ref()
+                .and_then(parse_reply)
+                .and_then(|v| v.get("worker").and_then(Value::as_f64))
+                .map(|f| f as u64);
             if let Some(id) = joined {
                 *self.worker_id.lock().expect("worker id lock") = Some(id);
                 self.registry.add("cluster.worker.joins", 1);
@@ -236,17 +245,14 @@ impl Runtime {
             "{{\"worker\":{id},\"max_units\":{}}}",
             self.cfg.lease_units.max(1)
         );
-        let response = self
-            .client
-            .request("POST", "/v1/cluster/lease", Some(&body));
-        let (status, body) = match response {
+        let reply = match call(&mut self.client, "POST", "/v1/cluster/lease", &body) {
             Ok(r) => r,
             Err(_) => return LeaseOutcome::Transport,
         };
-        if !(200..300).contains(&status) {
+        if !(200..300).contains(&reply.status) {
             return LeaseOutcome::Expired;
         }
-        let Some(units) = Value::parse(&body).ok().and_then(|v| parse_lease_units(&v)) else {
+        let Some(units) = parse_reply(&reply).and_then(|v| parse_lease_units(&v)) else {
             return LeaseOutcome::Transport;
         };
         if units.is_empty() {
@@ -328,11 +334,8 @@ impl Runtime {
         // Push with a few retries; an undeliverable result is not lost —
         // the lease expires and another worker recomputes the cell.
         for _ in 0..3 {
-            match self
-                .client
-                .request("POST", "/v1/cluster/complete", Some(&body))
-            {
-                Ok((status, _)) if (200..300).contains(&status) => {
+            match call(&mut self.client, "POST", "/v1/cluster/complete", &body) {
+                Ok(reply) if (200..300).contains(&reply.status) => {
                     self.registry.add("cluster.worker.units.completed", 1);
                     return;
                 }
@@ -349,7 +352,7 @@ impl Runtime {
             unit.index,
             json_escape(error),
         );
-        let _ = self.client.request("POST", "/v1/cluster/fail", Some(&body));
+        let _ = call(&mut self.client, "POST", "/v1/cluster/fail", &body);
         self.registry.add("cluster.worker.units.failed", 1);
     }
 
@@ -358,10 +361,12 @@ impl Runtime {
     fn sync_pull(&mut self) {
         loop {
             let path = format!("/v1/cluster/sync?after={}&limit=64", self.sync_seq);
-            let Ok((200, body)) = self.client.request("GET", &path, None) else {
-                return;
-            };
-            let Some(v) = Value::parse(&body).ok() else {
+            let Some(v) = call(&mut self.client, "GET", &path, "")
+                .ok()
+                .filter(|reply| reply.status == 200)
+                .as_ref()
+                .and_then(parse_reply)
+            else {
                 return;
             };
             let latest = v
@@ -409,6 +414,11 @@ enum LeaseOutcome {
     Transport,
 }
 
+/// The reply body as a JSON document, if it is one.
+fn parse_reply(reply: &Reply) -> Option<Value> {
+    Value::parse(reply.text().ok()?).ok()
+}
+
 fn parse_lease_units(v: &Value) -> Option<Vec<(UnitRef, CellKey, WireConfig)>> {
     let arr = v.get("units").and_then(Value::as_arr)?;
     let mut units = Vec::with_capacity(arr.len());
@@ -433,56 +443,12 @@ fn parse_sync_entry(v: &Value) -> Option<(u64, WireConfig, CellKey, StoredCell)>
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::http::{HttpConn, Response, DEFAULT_MAX_BODY_BYTES};
     use crate::proto::cell_to_json;
     use dvs_core::Scheme;
     use dvs_sram::MilliVolts;
     use dvs_workloads::Benchmark;
-    use std::io::{Read, Write};
     use std::net::TcpListener;
-
-    fn read_request(stream: &mut std::net::TcpStream) -> Option<(String, String)> {
-        let mut buf = Vec::new();
-        let header_end = loop {
-            if let Some(pos) = buf.windows(4).position(|w| w == b"\r\n\r\n") {
-                break pos;
-            }
-            let mut chunk = [0u8; 4096];
-            let n = stream.read(&mut chunk).ok()?;
-            if n == 0 {
-                return None;
-            }
-            buf.extend_from_slice(&chunk[..n]);
-        };
-        let head = String::from_utf8(buf[..header_end].to_vec()).ok()?;
-        let mut content_length = 0usize;
-        for line in head.split("\r\n").skip(1) {
-            if let Some((name, value)) = line.split_once(':') {
-                if name.trim().eq_ignore_ascii_case("content-length") {
-                    content_length = value.trim().parse().ok()?;
-                }
-            }
-        }
-        let body_start = header_end + 4;
-        while buf.len() < body_start + content_length {
-            let mut chunk = [0u8; 4096];
-            let n = stream.read(&mut chunk).ok()?;
-            if n == 0 {
-                return None;
-            }
-            buf.extend_from_slice(&chunk[..n]);
-        }
-        let target = head.split(' ').take(2).collect::<Vec<_>>().join(" ");
-        let body = String::from_utf8(buf[body_start..body_start + content_length].to_vec()).ok()?;
-        Some((target, body))
-    }
-
-    fn respond(stream: &mut std::net::TcpStream, body: &str) {
-        let resp = format!(
-            "HTTP/1.1 200 OK\r\nContent-Type: application/json\r\nContent-Length: {}\r\n\r\n{body}",
-            body.len()
-        );
-        stream.write_all(resp.as_bytes()).expect("write response");
-    }
 
     /// Drives the full worker loop against a scripted fake coordinator:
     /// join → lease one real (tiny) cell → expect the computed result
@@ -527,37 +493,45 @@ mod tests {
             // scripted interaction has fully played out.
             listener.set_nonblocking(false).expect("blocking listener");
             'outer: loop {
-                let (mut stream, _) = listener.accept().expect("accept");
-                while let Some((target, body)) = read_request(&mut stream) {
-                    match target.as_str() {
-                        "POST /v1/cluster/join" => {
+                let (stream, _) = listener.accept().expect("accept");
+                let mut conn = HttpConn::new(stream, DEFAULT_MAX_BODY_BYTES);
+                while let Ok(req) = conn.read_request() {
+                    let body = String::from_utf8(req.body).expect("UTF-8 request body");
+                    let reply = match (req.method.as_str(), req.path.as_str()) {
+                        ("POST", "/v1/cluster/join") => {
                             assert!(body.contains("\"name\""));
-                            respond(&mut stream, "{\"worker\":7}");
+                            "{\"worker\":7}".to_string()
                         }
-                        "POST /v1/cluster/heartbeat" => respond(&mut stream, "{\"ok\":true}"),
-                        "POST /v1/cluster/lease" => {
+                        ("POST", "/v1/cluster/heartbeat") => "{\"ok\":true}".to_string(),
+                        ("POST", "/v1/cluster/lease") => {
                             assert!(body.contains("\"worker\":7"));
                             if leased_out {
-                                respond(&mut stream, "{\"units\":[]}");
+                                "{\"units\":[]}".to_string()
                             } else {
                                 leased_out = true;
-                                respond(&mut stream, &lease_body);
+                                lease_body.clone()
                             }
                         }
-                        "POST /v1/cluster/complete" => {
+                        ("POST", "/v1/cluster/complete") => {
                             completed = Some(body);
-                            respond(&mut stream, "{\"ok\":true}");
+                            "{\"ok\":true}".to_string()
                         }
-                        target if target.starts_with("GET /v1/cluster/sync") => {
+                        ("GET", "/v1/cluster/sync") => {
                             if sync_served && completed.is_some() {
-                                respond(&mut stream, "{\"latest\":1,\"entries\":[]}");
+                                conn.write_response(&Response::json(
+                                    200,
+                                    "{\"latest\":1,\"entries\":[]}".to_string(),
+                                ))
+                                .expect("write response");
                                 break 'outer;
                             }
                             sync_served = true;
-                            respond(&mut stream, &sync_body);
+                            sync_body.clone()
                         }
-                        other => panic!("unexpected request {other} ({body})"),
-                    }
+                        (method, path) => panic!("unexpected request {method} {path} ({body})"),
+                    };
+                    conn.write_response(&Response::json(200, reply))
+                        .expect("write response");
                 }
             }
             completed.expect("worker pushed a completed cell")

@@ -276,60 +276,15 @@ fn ladder_fault_map(
     map
 }
 
-/// Monotonic counters the engine accumulates across `run_plan` calls.
-#[derive(Debug, Default)]
-pub(crate) struct EngineCounters {
-    pub(crate) trials_computed: AtomicU64,
-    pub(crate) trials_from_store: AtomicU64,
-    pub(crate) cells_from_store: AtomicU64,
-    pub(crate) link_failures: AtomicU64,
-    pub(crate) invariant_violations: AtomicU64,
-    pub(crate) link_nanos: AtomicU64,
-    pub(crate) sim_nanos: AtomicU64,
-    pub(crate) wall_nanos: AtomicU64,
-}
-
-impl EngineCounters {
-    /// Classifies one finished trial into exactly one counter:
-    /// successfully simulated trials into `trials_computed`, failed links
-    /// into `link_failures`, invalid images into `invariant_violations`.
-    ///
-    /// This is the single place outcomes are tallied — incrementing
-    /// `trials_computed` unconditionally at the call site would count
-    /// failed/invalid trials twice (once here, once as "computed").
-    pub(crate) fn record_outcome(&self, outcome: &TrialOutcome) {
-        match outcome {
-            TrialOutcome::Metrics(_) => {
-                self.trials_computed.fetch_add(1, Ordering::Relaxed);
-            }
-            TrialOutcome::LinkFailed => {
-                self.link_failures.fetch_add(1, Ordering::Relaxed);
-            }
-            TrialOutcome::Invalid(_) => {
-                self.invariant_violations.fetch_add(1, Ordering::Relaxed);
-            }
-        }
-    }
-
-    pub(crate) fn snapshot(&self) -> EngineStats {
-        EngineStats {
-            trials_computed: self.trials_computed.load(Ordering::Relaxed),
-            trials_from_store: self.trials_from_store.load(Ordering::Relaxed),
-            cells_from_store: self.cells_from_store.load(Ordering::Relaxed),
-            link_failures: self.link_failures.load(Ordering::Relaxed),
-            invariant_violations: self.invariant_violations.load(Ordering::Relaxed),
-            link_nanos: self.link_nanos.load(Ordering::Relaxed),
-            sim_nanos: self.sim_nanos.load(Ordering::Relaxed),
-            wall_nanos: self.wall_nanos.load(Ordering::Relaxed),
-        }
-    }
-}
-
-/// Snapshot of the engine's instrumentation.
+/// The engine's one tally of trial and store outcomes, plus its stage
+/// timings.
 ///
 /// Every trial lands in exactly one of `trials_computed`,
 /// `link_failures` or `invariant_violations`; their sum is the number of
-/// trials this process executed.
+/// trials this process executed. Each drain worker keeps a local tally
+/// and merges it once, at the end of the drain; `run_plan` adds its
+/// delta to the evaluator's total and exports the outcome counts to the
+/// recorder (see [`EngineStats::export`]).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct EngineStats {
     /// Trials simulated to completion by this process (link failures and
@@ -355,6 +310,53 @@ pub struct EngineStats {
 }
 
 impl EngineStats {
+    /// Classifies one finished trial into exactly one counter:
+    /// successfully simulated trials into `trials_computed`, failed links
+    /// into `link_failures`, invalid images into `invariant_violations`.
+    ///
+    /// This is the single place outcomes are tallied — incrementing
+    /// `trials_computed` unconditionally at the call site would count
+    /// failed/invalid trials twice (once here, once as "computed").
+    pub(crate) fn record_outcome(&mut self, outcome: &TrialOutcome) {
+        match outcome {
+            TrialOutcome::Metrics(_) => self.trials_computed += 1,
+            TrialOutcome::LinkFailed => self.link_failures += 1,
+            TrialOutcome::Invalid(_) => self.invariant_violations += 1,
+        }
+    }
+
+    /// Adds another tally into this one, field by field.
+    pub(crate) fn merge(&mut self, other: &EngineStats) {
+        self.trials_computed += other.trials_computed;
+        self.trials_from_store += other.trials_from_store;
+        self.cells_from_store += other.cells_from_store;
+        self.link_failures += other.link_failures;
+        self.invariant_violations += other.invariant_violations;
+        self.link_nanos += other.link_nanos;
+        self.sim_nanos += other.sim_nanos;
+        self.wall_nanos += other.wall_nanos;
+    }
+
+    /// Writes this tally's outcome counts to the recorder:
+    /// `engine.trials.{computed,link_failed,invalid}` and
+    /// `engine.store.{cell_hits,trials_loaded}`. The recorder therefore
+    /// derives these facts from the tally and cannot drift from it. A
+    /// zero count is not written, so a snapshot lists exactly the names
+    /// some event touched.
+    pub(crate) fn export(&self, rec: &dyn Recorder) {
+        for (name, count) in [
+            ("engine.trials.computed", self.trials_computed),
+            ("engine.trials.link_failed", self.link_failures),
+            ("engine.trials.invalid", self.invariant_violations),
+            ("engine.store.cell_hits", self.cells_from_store),
+            ("engine.store.trials_loaded", self.trials_from_store),
+        ] {
+            if count > 0 {
+                rec.add(name, count);
+            }
+        }
+    }
+
     /// Computed-trial throughput over the engine's wall time.
     pub fn trials_per_sec(&self) -> f64 {
         if self.wall_nanos == 0 {
@@ -410,7 +412,8 @@ pub(crate) struct DrainScope<'a> {
     pub(crate) cancel: Option<&'a CancelToken>,
 }
 
-/// Drains every trial of `cells` through one shared worker pool.
+/// Drains every trial of `cells` through one shared worker pool, adding
+/// the workers' tallies into `tally` once they finish.
 ///
 /// Returns the per-cell trial outcomes sorted by trial index.
 pub(crate) fn execute_cells(
@@ -418,7 +421,7 @@ pub(crate) fn execute_cells(
     core: &CoreConfig,
     geometry: &CacheGeometry,
     cells: &[CellContext],
-    counters: &EngineCounters,
+    tally: &mut EngineStats,
     recorder: Option<&Arc<dyn Recorder>>,
     scope: DrainScope<'_>,
 ) -> Vec<TrialOutcomes> {
@@ -449,6 +452,7 @@ pub(crate) fn execute_cells(
                 // Worker-local caches (chains, linked images, trace
                 // buffer); purely an accelerator, see [`TrialArena`].
                 let mut arena = cfg.reuse_buffers.then(TrialArena::default);
+                let mut local = EngineStats::default();
                 loop {
                     if scope.cancel.is_some_and(CancelToken::is_cancelled) {
                         break;
@@ -476,19 +480,11 @@ pub(crate) fn execute_cells(
                         geometry,
                         cell,
                         trial,
-                        counters,
+                        &mut local,
                         recorder,
                         arena.as_mut(),
                     );
-                    counters.record_outcome(&outcome);
-                    if let Some(r) = recorder {
-                        let name = match &outcome {
-                            TrialOutcome::Metrics(_) => "engine.trials.computed",
-                            TrialOutcome::LinkFailed => "engine.trials.link_failed",
-                            TrialOutcome::Invalid(_) => "engine.trials.invalid",
-                        };
-                        r.add(name, 1);
-                    }
+                    local.record_outcome(&outcome);
                     collectors[ci]
                         .lock()
                         .expect("collector lock poisoned")
@@ -505,10 +501,11 @@ pub(crate) fn execute_cells(
                         }
                     }
                 }
+                local
             }));
         }
         for h in handles {
-            h.join().expect("trial worker panicked");
+            tally.merge(&h.join().expect("trial worker panicked"));
         }
     });
 
@@ -548,7 +545,8 @@ impl TrialImage<'_> {
 /// per-trial hot path. `arena` (when present) caches fault chains and
 /// linked images across the worker's trials; every cached value is a
 /// deterministic function of seeds and cell identity, so warm and cold
-/// caches produce bit-identical outcomes.
+/// caches produce bit-identical outcomes. Link and simulation time go to
+/// the worker's `tally`; the caller records the outcome itself.
 #[allow(clippy::too_many_arguments)]
 fn run_trial(
     cfg: &EvalConfig,
@@ -556,7 +554,7 @@ fn run_trial(
     geometry: &CacheGeometry,
     cell: &CellContext,
     trial: u64,
-    counters: &EngineCounters,
+    tally: &mut EngineStats,
     recorder: Option<&Arc<dyn Recorder>>,
     arena: Option<&mut TrialArena>,
 ) -> TrialOutcome {
@@ -670,9 +668,7 @@ fn run_trial(
                     Some(r) => linker.link_recorded(transformed, &fmap_i, r),
                     None => linker.link(transformed, &fmap_i),
                 };
-                counters
-                    .link_nanos
-                    .fetch_add(link_start.elapsed().as_nanos() as u64, Ordering::Relaxed);
+                tally.link_nanos += link_start.elapsed().as_nanos() as u64;
                 let Ok(image) = image else {
                     return TrialOutcome::LinkFailed;
                 };
@@ -761,7 +757,7 @@ fn run_trial(
         }
     };
     let sim_elapsed = sim_start.elapsed().as_nanos() as u64;
-    counters.sim_nanos.fetch_add(sim_elapsed, Ordering::Relaxed);
+    tally.sim_nanos += sim_elapsed;
     if let Some(r) = rec {
         r.duration("engine.sim_nanos", sim_elapsed);
     }
@@ -791,7 +787,7 @@ mod tests {
     fn record_outcome_counts_each_variant_exactly_once() {
         use dvs_linker::{lint_ids, Location};
 
-        let counters = EngineCounters::default();
+        let mut tally = EngineStats::default();
         let result = SimResult {
             instructions: 10,
             synthetic: 1,
@@ -815,24 +811,23 @@ mod tests {
             "test diagnostic".to_string(),
         ));
 
-        counters.record_outcome(&metrics);
-        counters.record_outcome(&link_failed);
-        counters.record_outcome(&invalid);
-        let stats = counters.snapshot();
+        tally.record_outcome(&metrics);
+        tally.record_outcome(&link_failed);
+        tally.record_outcome(&invalid);
         // Exactly one bucket per outcome: a failed or invalid trial must
         // never ALSO count as computed.
-        assert_eq!(stats.trials_computed, 1);
-        assert_eq!(stats.link_failures, 1);
-        assert_eq!(stats.invariant_violations, 1);
+        assert_eq!(tally.trials_computed, 1);
+        assert_eq!(tally.link_failures, 1);
+        assert_eq!(tally.invariant_violations, 1);
         assert_eq!(
-            stats.trials_computed + stats.link_failures + stats.invariant_violations,
+            tally.trials_computed + tally.link_failures + tally.invariant_violations,
             3,
             "three outcomes, three counts"
         );
 
-        counters.record_outcome(&metrics);
-        assert_eq!(counters.snapshot().trials_computed, 2);
-        assert_eq!(counters.snapshot().link_failures, 1);
+        tally.record_outcome(&metrics);
+        assert_eq!(tally.trials_computed, 2);
+        assert_eq!(tally.link_failures, 1);
     }
 
     #[test]

@@ -14,7 +14,6 @@
 
 use std::collections::HashMap;
 use std::fmt;
-use std::sync::atomic::Ordering;
 use std::sync::Arc;
 use std::time::Instant;
 
@@ -29,9 +28,7 @@ use dvs_sram::{CacheGeometry, MilliVolts};
 use dvs_workloads::{Benchmark, Layout, Program, TraceTemplate};
 
 use crate::cancel::CancelToken;
-use crate::engine::{
-    self, BenchArtifacts, CellContext, EngineCounters, EngineStats, ProgressFn, TrialOutcome,
-};
+use crate::engine::{self, BenchArtifacts, CellContext, EngineStats, ProgressFn, TrialOutcome};
 use crate::plan::{CellKey, ExperimentPlan};
 use crate::store::{ResultStore, StoreKey, StoredCell};
 use crate::{DvfsPoint, Scheme};
@@ -335,7 +332,8 @@ pub struct Evaluator {
     failures: HashMap<CellKey, EvalError>,
     store: Option<ResultStore>,
     progress: Option<Box<ProgressFn>>,
-    counters: EngineCounters,
+    /// Engine outcomes and timings summed over every `run_plan`.
+    stats: EngineStats,
     recorder: Option<Arc<dyn Recorder>>,
     cancel: Option<CancelToken>,
 }
@@ -357,7 +355,7 @@ impl Evaluator {
             failures: HashMap::new(),
             store: None,
             progress: None,
-            counters: EngineCounters::default(),
+            stats: EngineStats::default(),
             recorder: None,
             cancel: None,
         }
@@ -439,7 +437,7 @@ impl Evaluator {
     /// Snapshot of the engine instrumentation accumulated so far (trials
     /// computed vs loaded, link failures, stage timings).
     pub fn stats(&self) -> EngineStats {
-        self.counters.snapshot()
+        self.stats
     }
 
     /// Every cell that failed so far, sorted by cell key display order.
@@ -609,6 +607,9 @@ impl Evaluator {
         let wall_start = Instant::now();
         let cells_total = plan.len();
         let mut cells_done = 0usize;
+        // This plan's delta: added to `self.stats` and exported to the
+        // recorder at the end, so the two can never disagree.
+        let mut tally = EngineStats::default();
 
         // Resolution pass: memory first, then the store.
         let mut missing: Vec<CellKey> = Vec::new();
@@ -629,20 +630,8 @@ impl Evaluator {
                     &key,
                 ))
             }) {
-                self.counters.trials_from_store.fetch_add(
-                    stored.trials.len() as u64 + stored.failed_links,
-                    Ordering::Relaxed,
-                );
-                self.counters
-                    .cells_from_store
-                    .fetch_add(1, Ordering::Relaxed);
-                if let Some(rec) = &self.recorder {
-                    rec.add("engine.store.cell_hits", 1);
-                    rec.add(
-                        "engine.store.trials_loaded",
-                        stored.trials.len() as u64 + stored.failed_links,
-                    );
-                }
+                tally.trials_from_store += stored.trials.len() as u64 + stored.failed_links;
+                tally.cells_from_store += 1;
                 self.install(key, stored.trials, stored.failed_links);
                 cells_done += 1;
                 self.fire_progress(key, 0, cells_done, cells_total);
@@ -699,7 +688,7 @@ impl Evaluator {
                 &self.core,
                 &self.geometry,
                 &contexts,
-                &self.counters,
+                &mut tally,
                 self.recorder.as_ref(),
                 engine::DrainScope {
                     callback: self.progress.as_deref(),
@@ -768,9 +757,11 @@ impl Evaluator {
             }
         }
 
-        self.counters
-            .wall_nanos
-            .fetch_add(wall_start.elapsed().as_nanos() as u64, Ordering::Relaxed);
+        tally.wall_nanos = wall_start.elapsed().as_nanos() as u64;
+        self.stats.merge(&tally);
+        if let Some(rec) = &self.recorder {
+            tally.export(rec.as_ref());
+        }
         // Export the store's accounting. Gauges, not counters: the values
         // depend on disk history (prior runs, crashes, peer processes),
         // which belongs in the volatile section of a snapshot.
@@ -1119,6 +1110,96 @@ mod tests {
         assert_eq!(reader.stats().trials_computed, 0);
         assert_eq!(a.trials, c.trials);
         let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    /// `engine.trials.*` and `engine.store.{cell_hits,trials_loaded}`
+    /// are exported from the tally `stats()` reports, so each `run_plan`
+    /// moves them by exactly its `EngineStats` delta — at any thread
+    /// count, over computed, link-failed and store-hit cells.
+    #[test]
+    fn recorder_outcome_counters_equal_the_engine_stats_delta() {
+        use dvs_obs::MetricsRegistry;
+
+        let stored = CellKey::new(Benchmark::Crc32, Scheme::DefectFree, MilliVolts::new(760));
+        let plans = [
+            ExperimentPlan::for_cells([
+                stored,
+                CellKey::new(Benchmark::Crc32, Scheme::FfwBbr, MilliVolts::new(340)),
+                CellKey::new(Benchmark::Adpcm, Scheme::DefectFree, MilliVolts::new(600)),
+            ]),
+            // The stored cell is a memory hit now; only links fail.
+            ExperimentPlan::for_cells([
+                stored,
+                CellKey::new(Benchmark::Adpcm, Scheme::FfwBbr, MilliVolts::new(340)),
+            ]),
+        ];
+        for threads in [1, 2] {
+            let store = temp_store(&format!("tally-{threads}"));
+            let dir = store.dir().to_path_buf();
+            let cfg = EvalConfig {
+                maps: 3,
+                trace_instrs: 2_000,
+                threads,
+                ..EvalConfig::quick()
+            };
+            Evaluator::new(cfg)
+                .with_store(store.clone())
+                .run_plan(&ExperimentPlan::for_cells([stored]));
+
+            let reg = Arc::new(MetricsRegistry::new());
+            let mut ev = Evaluator::new(cfg)
+                .with_store(store)
+                .with_recorder(reg.clone());
+            for plan in &plans {
+                let (before, snap_before) = (ev.stats(), reg.snapshot());
+                ev.run_plan(plan);
+                let (after, snap) = (ev.stats(), reg.snapshot());
+                for (name, delta) in [
+                    (
+                        "engine.trials.computed",
+                        after.trials_computed - before.trials_computed,
+                    ),
+                    (
+                        "engine.trials.link_failed",
+                        after.link_failures - before.link_failures,
+                    ),
+                    (
+                        "engine.trials.invalid",
+                        after.invariant_violations - before.invariant_violations,
+                    ),
+                    (
+                        "engine.store.cell_hits",
+                        after.cells_from_store - before.cells_from_store,
+                    ),
+                    (
+                        "engine.store.trials_loaded",
+                        after.trials_from_store - before.trials_from_store,
+                    ),
+                ] {
+                    assert_eq!(
+                        snap.counter(name) - snap_before.counter(name),
+                        delta,
+                        "{name} at {threads} threads"
+                    );
+                    // A name no event touched stays out of the snapshot.
+                    assert_eq!(
+                        snap.counters.contains_key(name),
+                        snap.counter(name) > 0,
+                        "{name}"
+                    );
+                }
+            }
+            let total = ev.stats();
+            assert!(total.trials_computed > 0, "{total:?}");
+            assert!(total.link_failures > 0, "{total:?}");
+            // A fault-free cell is one trial.
+            assert_eq!(
+                (total.cells_from_store, total.trials_from_store),
+                (1, 1),
+                "{total:?}"
+            );
+            let _ = std::fs::remove_dir_all(&dir);
+        }
     }
 
     #[test]

@@ -1,6 +1,6 @@
 //! `dvs-loadgen` — closed-loop load generator for `dvs-serve`.
 //!
-//! Each worker thread holds one keep-alive connection and issues the
+//! Each worker thread holds one keep-alive [`HttpClient`] and issues the
 //! next request as soon as the previous response is fully read (closed
 //! loop: offered load adapts to server latency). Latencies land in a
 //! per-thread [`LogHistogram`]; the merged distribution plus error
@@ -12,13 +12,12 @@
 //! so a throttled fleet does not reconverge on one instant) and retries
 //! the same request, counting it under `throttled` instead of `non2xx`.
 
-use std::io::{Read, Write};
-use std::net::TcpStream;
 use std::process::ExitCode;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
+use dvs_cluster::http::{HttpClient, Reply};
 use dvs_obs::LogHistogram;
 
 const USAGE: &str = "usage: dvs-loadgen --addr HOST:PORT [options]
@@ -127,69 +126,19 @@ struct WorkerResult {
     latencies_us: LogHistogram,
 }
 
-/// Reads one HTTP/1.1 response off `stream`; returns its status code,
-/// whether the connection can be reused, and any `Retry-After` delay
-/// (delta-seconds form only — HTTP-date values are ignored).
-fn read_response(
-    stream: &mut TcpStream,
-    buf: &mut Vec<u8>,
-) -> Result<(u16, bool, Option<Duration>), String> {
-    let header_end = loop {
-        if let Some(pos) = buf.windows(4).position(|w| w == b"\r\n\r\n") {
-            break pos;
-        }
-        let mut chunk = [0u8; 4096];
-        let n = stream.read(&mut chunk).map_err(|e| format!("read: {e}"))?;
-        if n == 0 {
-            return Err("connection closed mid-response".to_string());
-        }
-        buf.extend_from_slice(&chunk[..n]);
-    };
-    let head = std::str::from_utf8(&buf[..header_end]).map_err(|_| "non-UTF-8 head".to_string())?;
-    let status: u16 = head
-        .split(' ')
-        .nth(1)
-        .and_then(|s| s.parse().ok())
-        .ok_or_else(|| format!("bad status line {head:?}"))?;
-    let mut content_length = 0usize;
-    let mut keep_alive = true;
-    let mut retry_after = None;
-    for line in head.split("\r\n").skip(1) {
-        if let Some((name, value)) = line.split_once(':') {
-            let name = name.trim().to_ascii_lowercase();
-            let value = value.trim();
-            if name == "content-length" {
-                content_length = value
-                    .parse()
-                    .map_err(|_| "bad content-length".to_string())?;
-            } else if name == "connection" && value.eq_ignore_ascii_case("close") {
-                keep_alive = false;
-            } else if name == "retry-after" {
-                retry_after = value.parse::<u64>().ok().map(Duration::from_secs);
-            }
-        }
-    }
-    let body_start = header_end + 4;
-    while buf.len() < body_start + content_length {
-        let mut chunk = [0u8; 4096];
-        let n = stream.read(&mut chunk).map_err(|e| format!("read: {e}"))?;
-        if n == 0 {
-            return Err("connection closed mid-body".to_string());
-        }
-        buf.extend_from_slice(&chunk[..n]);
-    }
-    buf.drain(..body_start + content_length);
-    Ok((status, keep_alive, retry_after))
+/// The `Retry-After` delay of a reply (delta-seconds form only —
+/// HTTP-date values are ignored).
+fn retry_after(reply: &Reply) -> Option<Duration> {
+    reply
+        .header("retry-after")
+        .and_then(|v| v.parse::<u64>().ok())
+        .map(Duration::from_secs)
 }
 
 fn worker(index: usize, opts: &Options, tallies: &Tallies) -> WorkerResult {
-    let request = format!(
-        "GET {} HTTP/1.1\r\nHost: {}\r\nConnection: keep-alive\r\n\r\n",
-        opts.path, opts.addr
-    );
     let mut latencies = LogHistogram::new();
     let mut jitter = Jitter::new(index);
-    let mut conn: Option<(TcpStream, Vec<u8>)> = None;
+    let mut client = HttpClient::new(opts.addr.clone(), opts.timeout);
     loop {
         // Claim one request from the shared budget.
         if tallies.issued.fetch_add(1, Ordering::Relaxed) >= opts.requests {
@@ -199,50 +148,28 @@ fn worker(index: usize, opts: &Options, tallies: &Tallies) -> WorkerResult {
         let mut retries = 0u32;
         loop {
             let started = Instant::now();
-            let outcome = (|| -> Result<(u16, bool, Option<Duration>), String> {
-                if conn.is_none() {
-                    let stream =
-                        TcpStream::connect(&opts.addr).map_err(|e| format!("connect: {e}"))?;
-                    stream
-                        .set_read_timeout(Some(opts.timeout))
-                        .map_err(|e| e.to_string())?;
-                    stream
-                        .set_write_timeout(Some(opts.timeout))
-                        .map_err(|e| e.to_string())?;
-                    conn = Some((stream, Vec::new()));
-                }
-                let (stream, buf) = conn.as_mut().expect("connection just ensured");
-                stream
-                    .write_all(request.as_bytes())
-                    .map_err(|e| format!("write: {e}"))?;
-                read_response(stream, buf)
-            })();
-            match outcome {
-                Ok((429, keep_alive, Some(delay))) if retries < THROTTLE_RETRIES => {
-                    tallies.throttled.fetch_add(1, Ordering::Relaxed);
-                    if !keep_alive {
-                        conn = None;
+            match client.request("GET", &opts.path, &[], b"") {
+                Ok(reply) => match retry_after(&reply) {
+                    Some(delay) if reply.status == 429 && retries < THROTTLE_RETRIES => {
+                        tallies.throttled.fetch_add(1, Ordering::Relaxed);
+                        std::thread::sleep(jitter.scale(delay.min(THROTTLE_CAP)));
+                        retries += 1;
                     }
-                    std::thread::sleep(jitter.scale(delay.min(THROTTLE_CAP)));
-                    retries += 1;
-                }
-                Ok((status, keep_alive, _)) => {
-                    let micros = u64::try_from(started.elapsed().as_micros()).unwrap_or(u64::MAX);
-                    latencies.record(micros.max(1));
-                    if !(200..300).contains(&status) {
-                        tallies.non2xx.fetch_add(1, Ordering::Relaxed);
-                        if status >= 500 {
-                            tallies.fivexx.fetch_add(1, Ordering::Relaxed);
+                    _ => {
+                        let micros =
+                            u64::try_from(started.elapsed().as_micros()).unwrap_or(u64::MAX);
+                        latencies.record(micros.max(1));
+                        if !(200..300).contains(&reply.status) {
+                            tallies.non2xx.fetch_add(1, Ordering::Relaxed);
+                            if reply.status >= 500 {
+                                tallies.fivexx.fetch_add(1, Ordering::Relaxed);
+                            }
                         }
+                        break;
                     }
-                    if !keep_alive {
-                        conn = None;
-                    }
-                    break;
-                }
+                },
                 Err(_) => {
                     tallies.errors.fetch_add(1, Ordering::Relaxed);
-                    conn = None;
                     break;
                 }
             }

@@ -14,16 +14,17 @@
 //! | `GET /v1/healthz` | liveness probe |
 //! | `POST /v1/admin/shutdown` | graceful drain and exit |
 //!
-//! Layering mirrors the rest of the workspace: [`http`] is the wire
-//! protocol (framing, limits, timeouts), [`api`] is pure JSON ↔ engine
-//! translation, [`jobs`] owns the bounded campaign queue and executor
-//! threads over [`dvs_core::Evaluator`], and [`server`] wires accept
-//! loop, routing, and graceful shutdown together. Everything observable
-//! flows through `serve.*` metrics on a shared
+//! Layering mirrors the rest of the workspace: the wire protocol
+//! (framing, limits, timeouts) is [`dvs_cluster::http`], the one HTTP/1.1
+//! codec the server, the cluster worker and `dvs-loadgen` share (it sits
+//! in `dvs-cluster`, the lowest crate both sides reach); [`api`] is pure
+//! JSON ↔ engine translation, [`jobs`] owns the bounded campaign queue
+//! and executor threads over [`dvs_core::Evaluator`], and [`server`]
+//! wires accept loop, routing, and graceful shutdown together.
+//! Everything observable flows through `serve.*` metrics on a shared
 //! [`dvs_obs::MetricsRegistry`].
 
 pub mod api;
-pub mod http;
 pub mod jobs;
 pub mod server;
 

@@ -16,6 +16,7 @@ use std::sync::{Arc, Condvar, Mutex, OnceLock};
 use std::time::{Duration, Instant};
 
 use dvs_cluster::coordinator::CellOutcome;
+use dvs_cluster::http::{HttpConn, Request, RequestError, Response, DEFAULT_MAX_BODY_BYTES};
 use dvs_cluster::proto::{cell_payload_from_hex, cell_payload_to_hex, cell_to_json, UnitRef};
 use dvs_cluster::{Coordinator, WireConfig};
 use dvs_core::Scheme;
@@ -25,7 +26,6 @@ use dvs_sram::MilliVolts;
 use dvs_workloads::Benchmark;
 
 use crate::api::{self, CampaignSpec};
-use crate::http::{HttpConn, Request, RequestError, Response, DEFAULT_MAX_BODY_BYTES};
 use crate::jobs::{JobManager, SubmitError};
 
 /// How the HTTP front end is sized.

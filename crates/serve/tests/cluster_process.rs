@@ -16,12 +16,12 @@
 //!    render a `"results"` array byte-identical to the same spec run on
 //!    a plain single-node daemon.
 
-use std::io::{BufRead, BufReader, Read, Write};
-use std::net::TcpStream;
+use std::io::{BufRead, BufReader};
 use std::path::PathBuf;
 use std::process::{Child, Command, Stdio};
 use std::time::{Duration, Instant};
 
+use dvs_cluster::HttpClient;
 use dvs_obs::json::Value;
 
 /// Engine flags shared by every node: results are keyed on these, so
@@ -122,33 +122,14 @@ impl Drop for Node {
     }
 }
 
-/// One-shot request; returns (status, body).
+/// One request on a fresh connection through the shared client codec;
+/// returns (status, body).
 fn request(addr: &str, method: &str, path: &str, body: Option<&str>) -> (u16, String) {
-    let mut stream = TcpStream::connect(addr).expect("connect to daemon");
-    stream
-        .set_read_timeout(Some(Duration::from_secs(30)))
-        .unwrap();
-    let payload = body.unwrap_or("");
-    stream
-        .write_all(
-            format!(
-                "{method} {path} HTTP/1.1\r\nHost: t\r\nConnection: close\r\n\
-                 Content-Length: {}\r\n\r\n{payload}",
-                payload.len()
-            )
-            .as_bytes(),
-        )
-        .expect("write request");
-    let mut raw = Vec::new();
-    stream.read_to_end(&mut raw).expect("read response");
-    let text = String::from_utf8(raw).expect("UTF-8 response");
-    let (head, body) = text.split_once("\r\n\r\n").expect("complete response");
-    let status = head
-        .split(' ')
-        .nth(1)
-        .and_then(|s| s.parse().ok())
-        .expect("status line");
-    (status, body.to_string())
+    let reply = HttpClient::new(addr, Duration::from_secs(30))
+        .request(method, path, &[], body.unwrap_or("").as_bytes())
+        .expect("request to daemon");
+    let body = reply.text().expect("UTF-8 reply").to_string();
+    (reply.status, body)
 }
 
 /// The bench10 sweep at one voltage (cells differ per voltage, so each

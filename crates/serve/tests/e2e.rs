@@ -1,18 +1,21 @@
 //! End-to-end tests of the campaign server over real TCP.
 //!
-//! Every test binds port 0, drives the JSON API through a plain
-//! `TcpStream` client, and finishes with a graceful shutdown whose
-//! `Server::run` must return `Ok`. The headline test proves the wire
-//! path is lossless: a campaign fetched over HTTP renders byte-identical
-//! to a direct `Evaluator::run_plan` with different thread counts and a
-//! different store configuration.
+//! Every test binds port 0, drives the JSON API through the shared
+//! `dvs_cluster::http` client, and finishes with a graceful shutdown
+//! whose `Server::run` must return `Ok`. The headline test proves the
+//! wire path is lossless: a campaign fetched over HTTP renders
+//! byte-identical to a direct `Evaluator::run_plan` with different
+//! thread counts and a different store configuration. The refusal tests
+//! pin every status the server answers a broken request with; they fall
+//! back to a raw `TcpStream` only for bytes no well-formed client sends.
 
 use std::io::{Read, Write};
-use std::net::{SocketAddr, TcpStream};
+use std::net::{Shutdown, SocketAddr, TcpStream};
 use std::path::PathBuf;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
+use dvs_cluster::http::{HttpClient, MAX_HEADER_BYTES};
 use dvs_core::{EvalConfig, ResultStore};
 use dvs_obs::json::Value;
 use dvs_obs::MetricsRegistry;
@@ -44,20 +47,23 @@ struct TestServer {
 
 impl TestServer {
     fn start(jobs_cfg: JobConfig, store: Option<ResultStore>) -> TestServer {
+        let cfg = ServerConfig {
+            http_threads: 2,
+            read_timeout: Duration::from_secs(5),
+            write_timeout: Duration::from_secs(5),
+            ..ServerConfig::default()
+        };
+        TestServer::start_with(jobs_cfg, store, cfg)
+    }
+
+    fn start_with(
+        jobs_cfg: JobConfig,
+        store: Option<ResultStore>,
+        cfg: ServerConfig,
+    ) -> TestServer {
         let registry = Arc::new(MetricsRegistry::new());
         let jobs = JobManager::start(jobs_cfg, store, registry.clone());
-        let server = Server::bind(
-            "127.0.0.1:0",
-            ServerConfig {
-                http_threads: 2,
-                read_timeout: Duration::from_secs(5),
-                write_timeout: Duration::from_secs(5),
-                ..ServerConfig::default()
-            },
-            jobs,
-            registry,
-        )
-        .expect("bind port 0");
+        let server = Server::bind("127.0.0.1:0", cfg, jobs, registry).expect("bind port 0");
         let addr = server.local_addr();
         let handle = std::thread::spawn(move || server.run());
         TestServer { addr, handle }
@@ -73,78 +79,58 @@ impl TestServer {
     }
 }
 
-/// One-shot HTTP client: fresh connection, `Connection: close`, reads
-/// to EOF. Returns (status, headers, body).
+/// One request through the shared client codec on a fresh connection.
+/// Returns (status, headers, body).
+fn request_bytes(
+    addr: SocketAddr,
+    method: &str,
+    path: &str,
+    headers: &[(&str, &str)],
+    body: &[u8],
+) -> (u16, Vec<(String, String)>, Vec<u8>) {
+    let reply = HttpClient::new(addr.to_string(), Duration::from_secs(30))
+        .request(method, path, headers, body)
+        .expect("request to test server");
+    (reply.status, reply.headers, reply.body)
+}
+
+/// [`request_bytes`] with an optional text body and a text reply.
 fn request(
     addr: SocketAddr,
     method: &str,
     path: &str,
     body: Option<&str>,
 ) -> (u16, Vec<(String, String)>, String) {
-    let mut stream = TcpStream::connect(addr).expect("connect to test server");
-    stream
-        .set_read_timeout(Some(Duration::from_secs(30)))
-        .unwrap();
-    let body = body.unwrap_or("");
-    let wire = format!(
-        "{method} {path} HTTP/1.1\r\nHost: test\r\nConnection: close\r\n\
-         Content-Length: {}\r\n\r\n{body}",
-        body.len()
-    );
-    stream.write_all(wire.as_bytes()).expect("write request");
-    let mut raw = Vec::new();
-    stream.read_to_end(&mut raw).expect("read response");
-    let text = String::from_utf8(raw).expect("UTF-8 response");
-    let (head, body) = text.split_once("\r\n\r\n").expect("complete response");
-    let mut lines = head.split("\r\n");
-    let status: u16 = lines
-        .next()
-        .and_then(|l| l.split(' ').nth(1))
-        .and_then(|s| s.parse().ok())
-        .expect("status line");
-    let headers = lines
-        .filter_map(|l| l.split_once(':'))
-        .map(|(k, v)| (k.trim().to_ascii_lowercase(), v.trim().to_string()))
-        .collect();
-    (status, headers, body.to_string())
+    let (status, headers, body) =
+        request_bytes(addr, method, path, &[], body.unwrap_or("").as_bytes());
+    (
+        status,
+        headers,
+        String::from_utf8(body).expect("UTF-8 reply"),
+    )
 }
 
-/// Like [`request`] but keeps the body as raw bytes and sends extra
-/// request headers verbatim — for responses that are not UTF-8 text.
-fn request_bytes(
-    addr: SocketAddr,
-    method: &str,
-    path: &str,
-    extra_headers: &str,
-) -> (u16, Vec<(String, String)>, Vec<u8>) {
+/// Writes `bytes` on a fresh connection, half-closing the write side
+/// when asked, and returns the status code of the reply. Only for bytes
+/// no well-formed client sends.
+fn raw_status(addr: SocketAddr, bytes: &[u8], half_close: bool) -> u16 {
     let mut stream = TcpStream::connect(addr).expect("connect to test server");
     stream
         .set_read_timeout(Some(Duration::from_secs(30)))
         .unwrap();
-    let wire = format!(
-        "{method} {path} HTTP/1.1\r\nHost: test\r\nConnection: close\r\n\
-         {extra_headers}Content-Length: 0\r\n\r\n"
-    );
-    stream.write_all(wire.as_bytes()).expect("write request");
+    stream.write_all(bytes).expect("write raw bytes");
+    if half_close {
+        stream.shutdown(Shutdown::Write).expect("half-close");
+    }
+    // A refusal can leave request bytes unread, so the server's close
+    // may reset the connection: keep whatever arrived before the reset.
     let mut raw = Vec::new();
-    stream.read_to_end(&mut raw).expect("read response");
-    let split = raw
-        .windows(4)
-        .position(|w| w == b"\r\n\r\n")
-        .expect("complete response");
-    let head = std::str::from_utf8(&raw[..split]).expect("UTF-8 head");
-    let body = raw[split + 4..].to_vec();
-    let mut lines = head.split("\r\n");
-    let status: u16 = lines
-        .next()
-        .and_then(|l| l.split(' ').nth(1))
+    let _ = stream.read_to_end(&mut raw);
+    let text = String::from_utf8_lossy(&raw);
+    text.split(' ')
+        .nth(1)
         .and_then(|s| s.parse().ok())
-        .expect("status line");
-    let headers = lines
-        .filter_map(|l| l.split_once(':'))
-        .map(|(k, v)| (k.trim().to_ascii_lowercase(), v.trim().to_string()))
-        .collect();
-    (status, headers, body)
+        .unwrap_or_else(|| panic!("no status line in {text:?}"))
 }
 
 fn header<'h>(headers: &'h [(String, String)], name: &str) -> Option<&'h str> {
@@ -235,7 +221,8 @@ fn campaign_over_tcp_is_byte_identical_to_direct_run() {
         server.addr,
         "GET",
         "/v1/results?benchmark=crc32&scheme=defect-free&vcc_mv=760&seed=11",
-        "Accept: application/octet-stream\r\n",
+        &[("Accept", "application/octet-stream")],
+        b"",
     );
     assert_eq!(status, 200);
     assert_eq!(
@@ -407,5 +394,139 @@ fn routing_rejects_what_it_should_and_shutdown_is_clean() {
     assert_eq!(status, 200);
     assert_eq!(body, "[]");
 
+    server.shutdown();
+}
+
+fn idle_jobs() -> JobConfig {
+    JobConfig {
+        queue_depth: 2,
+        executors: 1,
+        base: tiny_base(),
+    }
+}
+
+/// A server with short fuses for the refusal tests: a 300 ms read
+/// timeout and a 64-byte body limit.
+fn refusing_server() -> TestServer {
+    let cfg = ServerConfig {
+        http_threads: 2,
+        read_timeout: Duration::from_millis(300),
+        write_timeout: Duration::from_secs(5),
+        max_body_bytes: 64,
+        ..ServerConfig::default()
+    };
+    TestServer::start_with(idle_jobs(), None, cfg)
+}
+
+#[test]
+fn every_refusal_answers_with_its_status() {
+    let server = refusing_server();
+    let addr = server.addr;
+
+    // 413: one byte over the body limit; at the limit it is parsed (and
+    // refused as a bad spec instead).
+    let (status, _, body) = request_bytes(addr, "POST", "/v1/campaigns", &[], &[b'{'; 65]);
+    assert_eq!(status, 413, "{}", String::from_utf8_lossy(&body));
+    let (status, _, body) = request_bytes(addr, "POST", "/v1/campaigns", &[], &[b'{'; 64]);
+    assert_eq!(status, 400, "{}", String::from_utf8_lossy(&body));
+
+    // 400: chunked transfer encoding.
+    let (status, _, body) = request_bytes(
+        addr,
+        "POST",
+        "/v1/campaigns",
+        &[("Transfer-Encoding", "chunked")],
+        b"",
+    );
+    assert_eq!(status, 400);
+    assert!(String::from_utf8_lossy(&body).contains("chunked"));
+
+    // 400: a bad `%` escape in the query.
+    let (status, _, body) = request(addr, "GET", "/v1/results?benchmark=%zz", None);
+    assert_eq!(status, 400, "{body}");
+    assert!(body.contains("bad percent escape in query"), "{body}");
+
+    // 400: a head, then a body, cut short by a write-side shutdown.
+    assert_eq!(
+        raw_status(addr, b"GET /v1/healthz HTTP/1.1\r\nHost: t", true),
+        400
+    );
+    let cut_body = b"POST /v1/campaigns HTTP/1.1\r\nContent-Length: 40\r\n\r\n{\"benchmarks\"";
+    assert_eq!(raw_status(addr, cut_body, true), 400);
+
+    // 408: a partial head, then a stall past the read timeout.
+    let started = Instant::now();
+    assert_eq!(
+        raw_status(addr, b"GET /v1/healthz HTTP/1.1\r\n", false),
+        408
+    );
+    assert!(started.elapsed() >= Duration::from_millis(300));
+
+    server.shutdown();
+}
+
+#[test]
+fn connections_past_max_conns_get_503() {
+    let cfg = ServerConfig {
+        http_threads: 2,
+        max_conns: 1,
+        read_timeout: Duration::from_secs(30),
+        ..ServerConfig::default()
+    };
+    let server = TestServer::start_with(idle_jobs(), None, cfg);
+    let addr = server.addr;
+
+    // A kept-alive connection holds the only slot ...
+    let mut held = HttpClient::new(addr.to_string(), Duration::from_secs(30));
+    let reply = held
+        .request("GET", "/v1/healthz", &[], b"")
+        .expect("first connection is served");
+    assert_eq!(reply.status, 200);
+    // ... so the next peer is turned away at the door.
+    let (status, headers, body) = request(addr, "GET", "/v1/healthz", None);
+    assert_eq!(status, 503, "{body}");
+    assert_eq!(header(&headers, "connection"), Some("close"));
+
+    // Once the slot frees, the next peer is admitted. Its kept-alive
+    // connection then carries the shutdown: a fresh one could race the
+    // server releasing the slot of the connection before it.
+    drop(held);
+    let mut next = HttpClient::new(addr.to_string(), Duration::from_secs(30));
+    let deadline = Instant::now() + Duration::from_secs(10);
+    while next
+        .request("GET", "/v1/healthz", &[], b"")
+        .map(|r| r.status)
+        .ok()
+        != Some(200)
+    {
+        assert!(Instant::now() < deadline, "slot never freed");
+        std::thread::sleep(Duration::from_millis(20));
+    }
+    let reply = next
+        .request("POST", "/v1/admin/shutdown", &[], b"")
+        .expect("shutdown request");
+    assert_eq!(reply.status, 200);
+    let run_result = server.handle.join().expect("server thread");
+    assert!(run_result.is_ok(), "{run_result:?}");
+}
+
+/// The head cap counts the whole head, terminator included, whether or
+/// not the terminator has arrived: exactly `MAX_HEADER_BYTES` is served,
+/// one byte more is refused.
+#[test]
+fn head_cap_is_exact_on_the_wire() {
+    let server = refusing_server();
+    let head = |len: usize| {
+        let mut h = b"GET /v1/healthz HTTP/1.1\r\nConnection: close\r\nX-Pad: ".to_vec();
+        h.resize(len - 4, b'p');
+        h.extend_from_slice(b"\r\n\r\n");
+        h
+    };
+    assert_eq!(raw_status(server.addr, &head(MAX_HEADER_BYTES), false), 200);
+    assert_eq!(
+        raw_status(server.addr, &head(MAX_HEADER_BYTES + 1), false),
+        431
+    );
+    assert_eq!(raw_status(server.addr, &head(12 * 1024), false), 431);
     server.shutdown();
 }

@@ -6,12 +6,12 @@
 //! closed-loop load generator (the store answers every request; nothing
 //! recomputes), and finally drains the daemon, which must exit 0.
 
-use std::io::{BufRead, BufReader, Read, Write};
-use std::net::TcpStream;
+use std::io::{BufRead, BufReader};
 use std::path::{Path, PathBuf};
 use std::process::{Child, Command, Stdio};
 use std::time::Duration;
 
+use dvs_cluster::HttpClient;
 use dvs_core::{EvalConfig, Evaluator, ExperimentPlan, ResultStore, Scheme};
 use dvs_sram::MilliVolts;
 use dvs_workloads::Benchmark;
@@ -79,27 +79,14 @@ fn start_daemon(store_dir: &Path) -> Daemon {
     Daemon { child, addr }
 }
 
-/// One-shot request to the daemon; returns (status, body).
+/// One request on a fresh connection through the shared client codec;
+/// returns (status, body).
 fn request(addr: &str, method: &str, path: &str) -> (u16, String) {
-    let mut stream = TcpStream::connect(addr).expect("connect to daemon");
-    stream
-        .set_read_timeout(Some(Duration::from_secs(30)))
-        .unwrap();
-    stream
-        .write_all(
-            format!("{method} {path} HTTP/1.1\r\nHost: t\r\nConnection: close\r\n\r\n").as_bytes(),
-        )
-        .expect("write request");
-    let mut raw = Vec::new();
-    stream.read_to_end(&mut raw).expect("read response");
-    let text = String::from_utf8(raw).expect("UTF-8 response");
-    let (head, body) = text.split_once("\r\n\r\n").expect("complete response");
-    let status = head
-        .split(' ')
-        .nth(1)
-        .and_then(|s| s.parse().ok())
-        .expect("status line");
-    (status, body.to_string())
+    let reply = HttpClient::new(addr, Duration::from_secs(30))
+        .request(method, path, &[], b"")
+        .expect("request to daemon");
+    let body = reply.text().expect("UTF-8 reply").to_string();
+    (reply.status, body)
 }
 
 #[test]
