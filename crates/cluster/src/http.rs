@@ -83,6 +83,9 @@ impl Request {
 pub enum RequestError {
     /// Clean EOF before any byte of the message — the peer is done.
     Closed,
+    /// The read timed out before any byte of the message arrived: an
+    /// idle keep-alive connection, or a peer that never answered.
+    Idle,
     /// The read timed out mid-message.
     Timeout,
     /// The head exceeded [`MAX_HEADER_BYTES`] (→ 431).
@@ -131,12 +134,12 @@ fn read_message<R: Read>(
             return Err(RequestError::HeadersTooLarge);
         }
         scanned = window.len().saturating_sub(3);
-        if fill(stream, buf)? == 0 {
-            return if buf.is_empty() {
-                Err(RequestError::Closed)
-            } else {
-                Err(RequestError::Malformed(format!("truncated {noun} head")))
-            };
+        match fill(stream, buf) {
+            Ok(0) if buf.is_empty() => return Err(RequestError::Closed),
+            Ok(0) => return Err(RequestError::Malformed(format!("truncated {noun} head"))),
+            Ok(_) => {}
+            Err(RequestError::Timeout) if buf.is_empty() => return Err(RequestError::Idle),
+            Err(e) => return Err(e),
         }
     };
 
@@ -759,6 +762,47 @@ mod tests {
             matches!(err, RequestError::BodyTooLarge { limit: 16 }),
             "{err:?}"
         );
+    }
+
+    /// A read that times out before any byte of a message is `Idle`
+    /// (an idle keep-alive connection); once a byte has arrived it is
+    /// `Timeout`, also when the bytes were pipelined after a message.
+    #[test]
+    fn timeout_is_idle_only_before_the_first_byte() {
+        /// Yields its bytes, then times out on every read.
+        struct Stall<'a>(&'a [u8]);
+        impl Read for Stall<'_> {
+            fn read(&mut self, out: &mut [u8]) -> io::Result<usize> {
+                if self.0.is_empty() {
+                    return Err(io::ErrorKind::WouldBlock.into());
+                }
+                let n = self.0.len().min(out.len());
+                out[..n].copy_from_slice(&self.0[..n]);
+                self.0 = &self.0[n..];
+                Ok(n)
+            }
+        }
+        let read = |bytes: &[u8]| {
+            let mut buf = Vec::new();
+            let mut stall = Stall(bytes);
+            let mut last = read_message(&mut stall, &mut buf, 64, "request");
+            while last.is_ok() {
+                last = read_message(&mut stall, &mut buf, 64, "request");
+            }
+            last.unwrap_err()
+        };
+        assert!(matches!(read(b""), RequestError::Idle));
+        assert!(matches!(
+            read(b"GET / HTTP/1.1\r\n\r\n"),
+            RequestError::Idle
+        ));
+        assert!(matches!(read(b"G"), RequestError::Timeout));
+        assert!(matches!(
+            read(b"GET / HTTP/1.1\r\n\r\nGET"),
+            RequestError::Timeout
+        ));
+        let body_cut = b"POST / HTTP/1.1\r\nContent-Length: 4\r\n\r\n{}";
+        assert!(matches!(read(body_cut), RequestError::Timeout));
     }
 
     /// A server that declares `usize::MAX` body bytes gets an error, not

@@ -27,7 +27,7 @@ use dvs_obs::json::{json_escape, Value};
 use dvs_obs::{MetricsRegistry, Recorder};
 use dvs_sram::CacheGeometry;
 
-use crate::http::{HttpClient, Reply, RequestError};
+use crate::http::{HttpClient, Reply, RequestError, DEFAULT_MAX_BODY_BYTES};
 use crate::proto::{
     cell_from_json, cell_payload_from_hex, cell_payload_to_hex, UnitRef, WireConfig,
 };
@@ -135,6 +135,12 @@ pub fn spawn_worker(cfg: WorkerConfig, registry: Arc<MetricsRegistry>) -> Worker
 
 /// Sends one request to the coordinator. Every worker request is
 /// labelled JSON; a `GET` carries an empty body.
+///
+/// The coordinator times out idle keep-alive connections, so a request
+/// sent on one may meet a closed connection or a 408 the server wrote
+/// before the request arrived. Neither answers the request, and either
+/// drops the connection, so the request is sent once more on a fresh
+/// one.
 fn call(
     client: &mut HttpClient,
     method: &str,
@@ -142,7 +148,12 @@ fn call(
     body: &str,
 ) -> Result<Reply, RequestError> {
     let json = [("Content-Type", "application/json")];
-    client.request(method, path, &json, body.as_bytes())
+    let send = |client: &mut HttpClient| client.request(method, path, &json, body.as_bytes());
+    match send(client) {
+        Ok(reply) if reply.status == 408 => send(client),
+        Err(RequestError::Closed | RequestError::Io(_)) => send(client),
+        other => other,
+    }
 }
 
 /// Sleeps `total` in short slices so a stop request is honored quickly.
@@ -331,18 +342,40 @@ impl Runtime {
             unit.index,
             cell_payload_to_hex(cell),
         );
-        // Push with a few retries; an undeliverable result is not lost —
-        // the lease expires and another worker recomputes the cell.
+        // Push with a few retries. A result that cannot be delivered — a
+        // 413, or a connection the coordinator keeps dropping — fails its
+        // unit, so the coordinator's bounded retry ends the campaign
+        // instead of the heartbeats renewing the lease forever.
+        let mut last = String::new();
         for _ in 0..3 {
             match call(&mut self.client, "POST", "/v1/cluster/complete", &body) {
                 Ok(reply) if (200..300).contains(&reply.status) => {
                     self.registry.add("cluster.worker.units.completed", 1);
                     return;
                 }
+                Ok(reply) if reply.status == 413 => {
+                    let error = parse_reply(&reply)
+                        .and_then(|v| v.get("error").and_then(Value::as_str).map(String::from));
+                    last = format!("413 {}", error.unwrap_or_default());
+                    break;
+                }
                 Ok(_) => return, // coordinator rejected the ref: drop it
-                Err(_) => pause(&self.stop, Duration::from_millis(50)),
+                Err(e) => {
+                    last = format!("{e:?}");
+                    pause(&self.stop, Duration::from_millis(50));
+                }
             }
         }
+        if self.stop.load(Ordering::Relaxed) {
+            return; // stopping: let the lease expire
+        }
+        let mut reason = format!("cell result of {} bytes not delivered ({last})", body.len());
+        if body.len() > DEFAULT_MAX_BODY_BYTES {
+            reason += &format!(
+                "; it exceeds the default request-body limit of {DEFAULT_MAX_BODY_BYTES} bytes"
+            );
+        }
+        self.push_fail(id, unit, &reason);
     }
 
     fn push_fail(&mut self, id: u64, unit: UnitRef, error: &str) {
@@ -443,12 +476,13 @@ fn parse_sync_entry(v: &Value) -> Option<(u64, WireConfig, CellKey, StoredCell)>
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::http::{HttpConn, Response, DEFAULT_MAX_BODY_BYTES};
+    use crate::http::{HttpConn, Response};
     use crate::proto::cell_to_json;
     use dvs_core::Scheme;
     use dvs_sram::MilliVolts;
     use dvs_workloads::Benchmark;
     use std::net::TcpListener;
+    use std::thread::JoinHandle;
 
     /// Drives the full worker loop against a scripted fake coordinator:
     /// join → lease one real (tiny) cell → expect the computed result
@@ -576,5 +610,197 @@ mod tests {
         assert_eq!(registry.counter("cluster.worker.units.completed"), 1);
         assert_eq!(registry.counter("cluster.worker.sync_cells"), 1);
         let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    /// What a [`ScriptedCoordinator`] saw: the bodies of the worker's
+    /// `complete` and `fail` requests, and the connections it accepted.
+    #[derive(Default)]
+    struct Seen {
+        completes: Vec<String>,
+        /// The connection (numbered from 0 in accept order) that carried
+        /// each `complete`.
+        complete_conns: Vec<usize>,
+        fails: Vec<String>,
+        connections: usize,
+    }
+
+    /// A fake coordinator serving each connection on its own thread, so
+    /// the heartbeat connection never blocks the worker's main one. It
+    /// joins worker 7, leases `cell` once, answers the n-th `complete`
+    /// (from 0) with `complete(n)` and records what it saw.
+    struct ScriptedCoordinator {
+        addr: String,
+        seen: Arc<Mutex<Seen>>,
+        stop: Arc<AtomicBool>,
+        accept: JoinHandle<()>,
+    }
+
+    impl ScriptedCoordinator {
+        fn start(
+            cell: CellKey,
+            wire: WireConfig,
+            complete: fn(usize) -> Response,
+        ) -> ScriptedCoordinator {
+            let listener = TcpListener::bind("127.0.0.1:0").expect("bind");
+            let addr = listener.local_addr().expect("addr").to_string();
+            listener
+                .set_nonblocking(true)
+                .expect("non-blocking listener");
+            let seen = Arc::new(Mutex::new(Seen::default()));
+            let stop = Arc::new(AtomicBool::new(false));
+            let lease = format!(
+                "{{\"units\":[{{\"campaign\":1,\"index\":0,\"stolen\":false,\
+                 \"cell\":{},\"config\":{}}}]}}",
+                cell_to_json(&cell),
+                wire.to_json(),
+            );
+            let leased = Arc::new(AtomicBool::new(false));
+            let accept = {
+                let (seen, stop) = (seen.clone(), stop.clone());
+                std::thread::spawn(move || {
+                    let mut conns = Vec::new();
+                    while !stop.load(Ordering::Relaxed) {
+                        let Ok((stream, _)) = listener.accept() else {
+                            std::thread::sleep(Duration::from_millis(5));
+                            continue;
+                        };
+                        let number = {
+                            let mut seen = seen.lock().unwrap();
+                            seen.connections += 1;
+                            seen.connections - 1
+                        };
+                        let (seen, stop, leased, lease) =
+                            (seen.clone(), stop.clone(), leased.clone(), lease.clone());
+                        conns.push(std::thread::spawn(move || {
+                            stream.set_nonblocking(false).unwrap();
+                            stream
+                                .set_read_timeout(Some(Duration::from_millis(100)))
+                                .unwrap();
+                            let mut conn = HttpConn::new(stream, usize::MAX);
+                            while !stop.load(Ordering::Relaxed) {
+                                let req = match conn.read_request() {
+                                    Ok(req) => req,
+                                    Err(RequestError::Idle) => continue,
+                                    Err(_) => return,
+                                };
+                                let body = String::from_utf8(req.body).unwrap();
+                                let ok = |json: &str| Response::json(200, json.to_string());
+                                let reply = match req.path.as_str() {
+                                    "/v1/cluster/join" => ok("{\"worker\":7}"),
+                                    "/v1/cluster/lease" if !leased.swap(true, Ordering::SeqCst) => {
+                                        ok(&lease)
+                                    }
+                                    "/v1/cluster/lease" => ok("{\"units\":[]}"),
+                                    "/v1/cluster/complete" => {
+                                        let mut seen = seen.lock().unwrap();
+                                        seen.completes.push(body);
+                                        seen.complete_conns.push(number);
+                                        complete(seen.completes.len() - 1)
+                                    }
+                                    "/v1/cluster/fail" => {
+                                        seen.lock().unwrap().fails.push(body);
+                                        ok("{\"ok\":true}")
+                                    }
+                                    "/v1/cluster/sync" => ok("{\"latest\":0,\"entries\":[]}"),
+                                    _ => ok("{\"ok\":true}"),
+                                };
+                                if conn.write_response(&reply).is_err() || reply.close {
+                                    return;
+                                }
+                            }
+                        }));
+                    }
+                    for conn in conns {
+                        conn.join().expect("connection thread");
+                    }
+                })
+            };
+            ScriptedCoordinator {
+                addr,
+                seen,
+                stop,
+                accept,
+            }
+        }
+
+        /// Runs a worker on `store` against this coordinator until `done`
+        /// holds of what it saw (or 60 s pass), then stops both.
+        fn drive(self, base: EvalConfig, store: ResultStore, done: fn(&Seen) -> bool) -> Seen {
+            let mut cfg = WorkerConfig::new(self.addr.clone(), base, store);
+            cfg.heartbeat = Duration::from_millis(50);
+            cfg.idle_poll = Duration::from_millis(20);
+            let handle = spawn_worker(cfg, Arc::new(MetricsRegistry::new()));
+            let deadline = std::time::Instant::now() + Duration::from_secs(60);
+            while !done(&self.seen.lock().unwrap()) {
+                assert!(
+                    std::time::Instant::now() < deadline,
+                    "the scripted exchange never finished"
+                );
+                std::thread::sleep(Duration::from_millis(10));
+            }
+            handle.stop();
+            handle.join();
+            self.stop.store(true, Ordering::Relaxed);
+            self.accept.join().expect("accept loop");
+            std::mem::take(&mut *self.seen.lock().unwrap())
+        }
+    }
+
+    /// An empty store in a fresh temporary directory.
+    fn temp_store(tag: &str) -> ResultStore {
+        let dir = std::env::temp_dir().join(format!("dvs-worker-{tag}-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        ResultStore::open(&dir).expect("store")
+    }
+
+    fn tiny_cell() -> (EvalConfig, CellKey) {
+        let base = EvalConfig {
+            maps: 1,
+            trace_instrs: 400,
+            threads: 1,
+            ..EvalConfig::quick()
+        };
+        let key = CellKey::new(Benchmark::Crc32, Scheme::DefectFree, MilliVolts::new(760));
+        (base, key)
+    }
+
+    /// A 408 left on the idle main connection by the coordinator's read
+    /// timeout answers no request: the worker sends its result again on
+    /// a fresh connection instead of dropping it.
+    #[test]
+    fn a_stale_408_is_retried_on_a_fresh_connection() {
+        let (base, key) = tiny_cell();
+        let coordinator = ScriptedCoordinator::start(key, WireConfig::of(&base), |n| {
+            if n == 0 {
+                Response::error(408, "request timed out").with_close()
+            } else {
+                Response::json(200, "{\"ok\":true}".to_string())
+            }
+        });
+        let store = temp_store("stale-408");
+        let seen = coordinator.drive(base, store.clone(), |seen| seen.completes.len() == 2);
+        let _ = std::fs::remove_dir_all(store.dir());
+        assert_eq!(seen.completes[0], seen.completes[1]);
+        assert_ne!(seen.complete_conns[0], seen.complete_conns[1]);
+        assert!(seen.fails.is_empty(), "{:?}", seen.fails);
+    }
+
+    /// A coordinator that refuses the result as too large gets a `fail`
+    /// quoting the refusal, so its bounded retry can end the campaign.
+    #[test]
+    fn a_413_fails_the_unit_with_the_limit() {
+        let (base, key) = tiny_cell();
+        let coordinator = ScriptedCoordinator::start(key, WireConfig::of(&base), |_| {
+            Response::error(413, "request body exceeds 64 bytes").with_close()
+        });
+        let store = temp_store("refused-413");
+        let seen = coordinator.drive(base, store.clone(), |seen| !seen.fails.is_empty());
+        let _ = std::fs::remove_dir_all(store.dir());
+        assert_eq!(seen.completes.len(), 1);
+        assert!(
+            seen.fails[0].contains("not delivered (413 request body exceeds 64 bytes)"),
+            "{}",
+            seen.fails[0]
+        );
     }
 }

@@ -79,13 +79,15 @@ pub struct EvalConfig {
     /// never change metrics, only reject them — so, like `threads`, it is
     /// not part of the result-store key.
     pub validate_images: bool,
-    /// Reuse per-worker buffers across trials: fault chains advance
-    /// incrementally down the voltage ladder instead of resampling,
-    /// identical fault maps reuse their linked image, and traces resolve
-    /// from a recorded template instead of re-walking the CFG. Purely a
-    /// performance knob — results are bit-identical either way (the
-    /// determinism tests pin this) — so it is not part of the
-    /// result-store key.
+    /// Share work between the trials of one (benchmark, map): the
+    /// engine runs them as one unit whose fault chains advance down the
+    /// voltage ladder instead of resampling each rung, whose BBR trials
+    /// reuse the previous rung's linked image while the instruction-side
+    /// map is unchanged, and whose traces resolve from a recorded
+    /// template instead of re-walking the CFG. Off, every trial samples,
+    /// links and walks from scratch. Purely a performance knob — results
+    /// are bit-identical either way (the determinism tests pin this) —
+    /// so it is not part of the result-store key.
     pub reuse_buffers: bool,
     /// Spatial structure of the Monte-Carlo fault maps
     /// ([`dvs_sram::FaultModel`]). Changes every sampled map, so — unlike
@@ -949,11 +951,11 @@ mod tests {
         assert_eq!(a.trials.len(), c.trials.len());
         assert!(a.cycles().bitwise_eq(&c.cycles()));
 
-        // The worker arena (chain reuse, link memoization, trace
-        // templates) is purely an accelerator: with it disabled every
-        // trial of every cell reproduces bit-identically. Sweeping two
-        // voltages of one benchmark exercises the incremental ladder
-        // path, and repeated maps exercise the link cache.
+        // Units (chain reuse, image reuse across rungs, trace templates)
+        // are purely an accelerator: with them disabled every trial of
+        // every cell reproduces bit-identically. Sweeping two voltages
+        // of one benchmark under two schemes exercises the incremental
+        // ladder path and the unit's image.
         let plan = ExperimentPlan::for_grid(
             &[Benchmark::Adpcm],
             &[Scheme::FfwBbr, Scheme::SimpleWdis],

@@ -402,11 +402,11 @@ pub fn sa_dm_equivalence(seed: u64, stream_len: usize) -> Vec<Diagnostic> {
 
 /// Family C: persistence and observability must never change results.
 /// Sweeps one benchmark over two voltages (so the incremental
-/// voltage-ladder reuse and link-memoization paths are exercised) plain,
+/// voltage-ladder walk and image reuse across rungs are exercised) plain,
 /// store-backed, store-reloaded, size-capped (`store_cap` bytes, twice —
 /// eviction mid-sweep and a rerun over the evicted store), recorder-on
-/// and with the worker arena disabled; every trial vector of every cell
-/// must be bit-identical to the plain sweep.
+/// and with buffer reuse disabled (`reuse_buffers: false`); every trial
+/// vector of every cell must be bit-identical to the plain sweep.
 pub fn persistence_identity(
     benchmark: Benchmark,
     seed: u64,

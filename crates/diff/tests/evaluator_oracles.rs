@@ -33,8 +33,8 @@ fn persistence_never_changes_results() {
 
 #[test]
 fn persistence_never_changes_results_under_correlated_faults() {
-    // The correlated path threads per-word multipliers through the arena's
-    // incremental chain reuse; warm and cold caches must still agree.
+    // The correlated path threads per-word multipliers through the unit's
+    // incremental chain walk; it must still agree with the from-scratch path.
     let diags =
         oracles::persistence_identity(Benchmark::Adpcm, 43, FaultModel::row_column(), Some(1));
     assert_eq!(diags, Vec::new());

@@ -237,7 +237,10 @@ fn serve_connection(shared: &Arc<Shared>, stream: TcpStream) {
     loop {
         let request = match conn.read_request() {
             Ok(r) => r,
-            Err(RequestError::Closed) => return,
+            // An idle keep-alive connection is closed without a reply: a
+            // 408 would sit unread on the socket until the peer's next
+            // request, which would then read it as its own answer.
+            Err(RequestError::Closed | RequestError::Idle) => return,
             Err(RequestError::Timeout) => {
                 let _ =
                     conn.write_response(&Response::error(408, "request timed out").with_close());

@@ -16,12 +16,15 @@ use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use dvs_cluster::http::{HttpClient, MAX_HEADER_BYTES};
-use dvs_core::{EvalConfig, ResultStore};
+use dvs_cluster::{spawn_worker, ClusterConfig, Coordinator, WorkerConfig, WorkerHandle};
+use dvs_core::{EvalConfig, Evaluator, ResultStore, Scheme};
 use dvs_obs::json::Value;
 use dvs_obs::MetricsRegistry;
 use dvs_serve::api::{self, CampaignSpec};
 use dvs_serve::jobs::{JobConfig, JobManager};
 use dvs_serve::{Server, ServerConfig};
+use dvs_sram::MilliVolts;
+use dvs_workloads::Benchmark;
 
 fn temp_dir(tag: &str) -> PathBuf {
     let dir = std::env::temp_dir().join(format!("dvs-serve-{}-{}", tag, std::process::id()));
@@ -273,8 +276,10 @@ fn queue_full_returns_429_with_retry_after_and_metrics() {
         None,
     );
 
-    // Campaign A is sized to run for a while on one executor.
-    let slow = r#"{"benchmarks":["crc32"],"schemes":["defect-free"],"voltages_mv":[760],"maps":400,"trace_instrs":20000}"#;
+    // Campaign A is sized to run for a while on one executor: 400
+    // fault-seeing trials (a defect-free cell would run one trial, over
+    // before the poll below can see it running).
+    let slow = r#"{"benchmarks":["crc32"],"schemes":["Wilkerson+"],"voltages_mv":[760],"maps":400,"trace_instrs":20000}"#;
     let (status, _, body) = request(server.addr, "POST", "/v1/campaigns", Some(slow));
     assert_eq!(status, 202, "{body}");
     let id_a = submitted_id(&body);
@@ -463,6 +468,164 @@ fn every_refusal_answers_with_its_status() {
     assert!(started.elapsed() >= Duration::from_millis(300));
 
     server.shutdown();
+}
+
+/// A coordinator on `cfg` and `cluster` with one worker, both on `base`
+/// and each with a store in a fresh temporary directory. The worker
+/// heartbeats and polls every 50 ms, well inside any read timeout here:
+/// only an evaluation leaves its connections idle, and it keeps its id,
+/// so no re-join or duplicate dispatch can recover a lost result.
+struct OneWorkerCluster {
+    server: TestServer,
+    worker: WorkerHandle,
+    dirs: [PathBuf; 2],
+}
+
+impl OneWorkerCluster {
+    fn start(tag: &str, cfg: ServerConfig, cluster: ClusterConfig, base: EvalConfig) -> Self {
+        let registry = Arc::new(MetricsRegistry::new());
+        let jobs = JobManager::start(idle_jobs(), None, registry.clone());
+        let server = Server::bind("127.0.0.1:0", cfg, jobs, registry.clone()).expect("bind port 0");
+        let dirs = [
+            temp_dir(&format!("{tag}-coordinator")),
+            temp_dir(&format!("{tag}-worker")),
+        ];
+        let store = |dir: &PathBuf| ResultStore::open(dir).expect("store opens");
+        server.enable_coordinator(Arc::new(Coordinator::new(
+            cluster,
+            base,
+            Some(store(&dirs[0])),
+            registry,
+        )));
+        let addr = server.local_addr();
+        let server = TestServer {
+            addr,
+            handle: std::thread::spawn(move || server.run()),
+        };
+        let mut worker_cfg = WorkerConfig::new(addr.to_string(), base, store(&dirs[1]));
+        worker_cfg.heartbeat = Duration::from_millis(50);
+        worker_cfg.idle_poll = Duration::from_millis(50);
+        let worker = spawn_worker(worker_cfg, Arc::new(MetricsRegistry::new()));
+        OneWorkerCluster {
+            server,
+            worker,
+            dirs,
+        }
+    }
+
+    /// Submits a one-cell campaign and returns its terminal status.
+    fn run_cell(&self, scheme: Scheme, vcc: u32, base: &EvalConfig) -> String {
+        let spec = format!(
+            "{{\"benchmarks\":[\"crc32\"],\"schemes\":[\"{scheme}\"],\"voltages_mv\":[{vcc}],\
+             \"maps\":{},\"trace_instrs\":{},\"seed\":42}}",
+            base.maps, base.trace_instrs
+        );
+        let addr = self.server.addr;
+        let (status, _, body) = request(addr, "POST", "/v1/campaigns", Some(&spec));
+        assert_eq!(status, 202, "{body}");
+        poll_terminal(addr, submitted_id(&body), Duration::from_secs(60))
+    }
+
+    fn stop(self) {
+        self.worker.stop();
+        self.worker.join();
+        self.server.shutdown();
+        for dir in self.dirs {
+            let _ = std::fs::remove_dir_all(dir);
+        }
+    }
+}
+
+/// A worker whose cell outlasts the coordinator's read timeout still
+/// delivers it. The coordinator closes the worker's idle keep-alive
+/// connection without writing a 408 the worker would later read as the
+/// answer to its result, and the worker sends the result on a fresh
+/// connection.
+#[test]
+fn a_cell_outlasting_the_coordinators_read_timeout_completes() {
+    // The probe's trials are longer than the engine's 50,000-instruction
+    // template cap, so they walk the CFG as the cell's trials will.
+    let probe_instrs = 60_000;
+    let base = EvalConfig {
+        trace_instrs: probe_instrs,
+        maps: 2,
+        threads: 1,
+        validate_images: false,
+        ..EvalConfig::quick()
+    };
+    let (scheme, vcc) = (Scheme::SimpleWdis, 560);
+    // Two long trials, so the cell takes about 4 s on this build while
+    // its result stays small: a large one fails its write to the closed
+    // connection instead of reading the stale reply. The margin covers a
+    // calibration slowed by tests running beside it.
+    let mut probe = Evaluator::new(base);
+    probe
+        .run(Benchmark::Crc32, scheme, MilliVolts::new(vcc))
+        .expect("calibration runs");
+    let ns_per_instr = probe.stats().sim_nanos / (2 * probe_instrs as u64);
+    let base = EvalConfig {
+        trace_instrs: (2_000_000_000 / ns_per_instr.max(1)).clamp(60_000, 50_000_000) as usize,
+        ..base
+    };
+    let cfg = ServerConfig {
+        http_threads: 4,
+        read_timeout: Duration::from_millis(200),
+        write_timeout: Duration::from_secs(5),
+        ..ServerConfig::default()
+    };
+    let cluster = OneWorkerCluster::start("timeout", cfg, ClusterConfig::default(), base);
+    let started = Instant::now();
+    let body = cluster.run_cell(scheme, vcc, &base);
+    assert!(body.contains("\"state\":\"complete\""), "{body}");
+    assert!(body.contains("\"cells_done\":1"), "{body}");
+    assert!(
+        started.elapsed() > Duration::from_secs(1),
+        "the cell must outlast the read timeout several times over ({} instructions)",
+        base.trace_instrs
+    );
+    cluster.stop();
+}
+
+/// A cell result several times the coordinator's request-body limit
+/// fails its unit: the coordinator refuses it (a 413, or a reset while
+/// the worker is still writing), the worker reports it undeliverable,
+/// and the coordinator's bounded retry ends the campaign with an error
+/// cell instead of the heartbeats keeping it running.
+#[test]
+fn a_cell_over_the_coordinators_body_limit_fails_the_campaign() {
+    let base = EvalConfig {
+        trace_instrs: 400,
+        maps: 64,
+        threads: 1,
+        ..EvalConfig::quick()
+    };
+    let max_body_bytes = 4096;
+    let cfg = ServerConfig {
+        http_threads: 4,
+        max_body_bytes,
+        ..ServerConfig::default()
+    };
+    let retry = ClusterConfig {
+        max_attempts: 2,
+        retry_backoff: Duration::from_millis(10),
+        ..ClusterConfig::default()
+    };
+    let cluster = OneWorkerCluster::start("body-limit", cfg, retry, base);
+    let body = cluster.run_cell(Scheme::SimpleWdis, 600, &base);
+    assert!(body.contains("\"state\":\"failed\""), "{body}");
+    assert!(body.contains("\"cells_failed\":1"), "{body}");
+    assert!(body.contains("2 attempts exhausted"), "{body}");
+    let size: usize = body
+        .split("cell result of ")
+        .nth(1)
+        .and_then(|rest| rest.split(' ').next())
+        .and_then(|n| n.parse().ok())
+        .unwrap_or_else(|| panic!("the error names the result's size: {body}"));
+    assert!(
+        size > 4 * max_body_bytes,
+        "{size} bytes against {max_body_bytes}"
+    );
+    cluster.stop();
 }
 
 #[test]

@@ -10,9 +10,9 @@
 use std::sync::Arc;
 
 use dvs_bench::profile::{run_profile, ProfileOptions};
-use dvs_core::{EvalConfig, Evaluator, ResultStore, Scheme};
-use dvs_obs::MetricsRegistry;
-use dvs_sram::MilliVolts;
+use dvs_core::{EvalConfig, Evaluator, ExperimentPlan, ResultStore, Scheme};
+use dvs_obs::{MetricsRegistry, MetricsSnapshot};
+use dvs_sram::{FaultModel, MilliVolts};
 use dvs_workloads::Benchmark;
 
 fn opts(threads: usize) -> ProfileOptions {
@@ -44,6 +44,62 @@ fn thread_count_never_leaks_into_deterministic_sections() {
     let serial = run_profile(&opts(1));
     let parallel = run_profile(&opts(4));
     assert_eq!(serial.to_json(false), parallel.to_json(false));
+}
+
+/// Runs a multi-rung, two-scheme plan under `model` at `threads` and
+/// returns what the registry recorded.
+fn recorded_ladder(model: FaultModel, threads: usize) -> MetricsSnapshot {
+    let plan = ExperimentPlan::for_grid(
+        &[Benchmark::Crc32, Benchmark::Qsort],
+        &[Scheme::FfwBbr, Scheme::FbaPlus],
+        &[760, 700, 640, 560, 480, 400].map(MilliVolts::new),
+    );
+    let cfg = EvalConfig {
+        trace_instrs: 2_000,
+        maps: 4,
+        threads,
+        fault_model: model,
+        ..EvalConfig::quick()
+    };
+    assert!(cfg.validate_images);
+    let registry = Arc::new(MetricsRegistry::new());
+    let mut eval = Evaluator::new(cfg).with_recorder(registry.clone());
+    eval.run_plan(&plan);
+    registry.snapshot()
+}
+
+#[test]
+fn multi_rung_plan_counters_do_not_depend_on_thread_count() {
+    for model in [FaultModel::Iid, FaultModel::clustered()] {
+        let serial = recorded_ladder(model, 1);
+        for name in [
+            "engine.link_cache.hits",
+            "analysis.lints.runs",
+            "linker.links",
+            "engine.trials.computed",
+        ] {
+            assert!(
+                serial.counter(name) > 0,
+                "{model:?}: {name} is zero, so the plan does not exercise it"
+            );
+        }
+        let added = serial
+            .values
+            .get("sram.faultchain.faults_added")
+            .expect("chain faults are recorded");
+        assert!(added.sum > 0, "{model:?}: the ladder reaches faulty rungs");
+        for threads in [2, 4] {
+            let parallel = recorded_ladder(model, threads);
+            assert_eq!(
+                serial.counters, parallel.counters,
+                "{model:?}: counters at 1 and {threads} threads"
+            );
+            assert_eq!(
+                serial.values, parallel.values,
+                "{model:?}: value histograms at 1 and {threads} threads"
+            );
+        }
+    }
 }
 
 #[test]
