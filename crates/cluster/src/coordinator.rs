@@ -1,12 +1,17 @@
-//! The coordinator: a lock-protected lease/retry/steal state machine.
+//! The coordinator: the one campaign state machine, behind one lock.
 //!
-//! Every public transition takes the current [`Instant`] as an argument
+//! Every `dvs-serve` node runs one. A `--cluster` node leases its units to
+//! remote workers over HTTP; every other node leases them to its
+//! in-process lane ([`crate::worker::spawn_lane`]) by direct call. Either
+//! way a campaign is admitted, leased, completed, failed, drained and
+//! rendered here, by the same code.
+//!
+//! The lease transitions take the current [`Instant`] as an argument
 //! instead of reading the clock, so unit tests drive lease expiry, retry
 //! backoff and work stealing by passing fabricated times — no sleeping.
-//! The serve layer passes `Instant::now()`; expiry is evaluated lazily
-//! on every call ([`Coordinator::tick`] runs at the top of `lease`,
-//! `heartbeat` and the status accessors), so no background reaper thread
-//! is needed.
+//! The serve layer passes `Instant::now()`; expiry is evaluated lazily at
+//! the top of `lease`, `heartbeat` and the status accessors, so no
+//! background reaper thread is needed.
 //!
 //! Correctness argument for duplicate dispatch: a cell is a pure
 //! function of its [`StoreKey`], so any two workers computing the same
@@ -15,17 +20,22 @@
 //! race never loses information.
 
 use std::collections::BTreeMap;
-use std::sync::{Arc, Mutex};
+use std::sync::{Arc, Condvar, Mutex, MutexGuard};
 use std::time::{Duration, Instant};
 
-use dvs_core::{CellKey, EvalConfig, ExperimentPlan, ResultStore, StoreKey, StoredCell};
+use dvs_core::{
+    CancelToken, CellKey, EvalConfig, ExperimentPlan, ResultStore, StoreKey, StoredCell,
+};
 use dvs_cpu::CoreConfig;
 use dvs_obs::{MetricsRegistry, Recorder};
 use dvs_sram::CacheGeometry;
 
-use crate::proto::{UnitRef, WireConfig};
+use crate::proto::{cell_error_json, cell_json, stored_cell_result, UnitRef, WireConfig};
 
-/// Tuning knobs of the lease protocol.
+/// Concurrent leases per unit at most: the holder and one thief.
+const MAX_DUPLICATES: usize = 2;
+
+/// Tuning knobs of the lease protocol and of admission.
 #[derive(Debug, Clone, Copy)]
 pub struct ClusterConfig {
     /// A lease (and a worker registration) expires this long after the
@@ -38,10 +48,12 @@ pub struct ClusterConfig {
     pub max_attempts: u32,
     /// Requeue backoff is `retry_backoff * attempts` (linear).
     pub retry_backoff: Duration,
-    /// Units granted per lease call at most.
+    /// Units granted per `/v1/cluster/lease` call at most. The in-process
+    /// lane is not clamped: it takes a whole campaign per plan.
     pub lease_units: usize,
-    /// Concurrent leases per unit at most (1 = no stealing).
-    pub max_duplicates: usize,
+    /// Campaigns that may wait for their first lease at once; past it
+    /// [`Coordinator::submit`] refuses with [`SubmitError::QueueFull`].
+    pub queue_depth: usize,
 }
 
 impl Default for ClusterConfig {
@@ -52,9 +64,18 @@ impl Default for ClusterConfig {
             max_attempts: 5,
             retry_backoff: Duration::from_millis(500),
             lease_units: 2,
-            max_duplicates: 2,
+            queue_depth: 8,
         }
     }
+}
+
+/// Why a submission was refused.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum SubmitError {
+    /// `queue_depth` campaigns already wait (→ 429 + `Retry-After`).
+    QueueFull,
+    /// The node is draining and refuses new work (→ 503).
+    Draining,
 }
 
 /// One granted lease, as returned to the leasing worker.
@@ -70,37 +91,6 @@ pub struct LeaseGrant {
     pub stolen: bool,
 }
 
-/// Terminal or in-flight outcome of one cell, in campaign plan order.
-#[derive(Debug, Clone, PartialEq)]
-pub enum CellOutcome {
-    /// Not finished yet (pending, backing off, or leased).
-    Pending,
-    /// Computed (possibly with zero surviving trials — all links
-    /// failed — which is a *result*, not an error).
-    Completed(StoredCell),
-    /// Gave up after [`ClusterConfig::max_attempts`].
-    Failed(String),
-}
-
-/// Progress snapshot of one campaign.
-#[derive(Debug, Clone)]
-pub struct CampaignProgress {
-    /// Campaign id.
-    pub id: u64,
-    /// The campaign's result-relevant config.
-    pub wire: WireConfig,
-    /// Planned cells.
-    pub total: usize,
-    /// Cells completed.
-    pub completed: usize,
-    /// Cells terminally failed.
-    pub failed: usize,
-    /// Whether every cell is terminal.
-    pub done: bool,
-    /// Per-cell outcomes in plan order.
-    pub results: Vec<(CellKey, CellOutcome)>,
-}
-
 /// Registration status of one worker.
 #[derive(Debug, Clone)]
 pub struct WorkerStatus {
@@ -114,8 +104,8 @@ pub struct WorkerStatus {
     pub units_done: u64,
 }
 
-/// One completed cell in the sync log; workers tail the log to converge
-/// their local stores on the whole campaign.
+/// One completed cell of the sync log, read back from the store; workers
+/// tail the log to converge their local stores on the whole campaign.
 #[derive(Debug, Clone)]
 pub struct SyncEntry {
     /// Position in the log, starting at 1.
@@ -137,27 +127,117 @@ struct Lease {
 #[derive(Debug)]
 enum UnitState {
     /// Waiting to be leased; `available_at` implements retry backoff.
-    Pending {
-        available_at: Option<Instant>,
-    },
-    Leased,
-    Completed(StoredCell),
-    Failed(String),
+    Pending { available_at: Option<Instant> },
+    /// Leased since `since` (this attempt's first grant) to one worker,
+    /// or to two once stolen.
+    Leased { since: Instant, leases: Vec<Lease> },
+    /// Computed (possibly with zero surviving trials — all links failed
+    /// — which is a result, not an error); holds the rendered cell.
+    Completed(Box<str>),
+    /// Given up on after `max_attempts`, or cancelled by a drain; holds
+    /// the rendered error cell.
+    Failed(Box<str>),
 }
 
 #[derive(Debug)]
 struct Unit {
     key: CellKey,
     attempts: u32,
-    leases: Vec<Lease>,
-    first_leased_at: Option<Instant>,
     state: UnitState,
+}
+
+impl Unit {
+    fn ready(&self, now: Instant) -> bool {
+        matches!(self.state, UnitState::Pending { available_at } if available_at.is_none_or(|at| at <= now))
+    }
+
+    /// The rendered cell of a terminal unit.
+    fn rendered(&self) -> Option<&str> {
+        match &self.state {
+            UnitState::Completed(json) | UnitState::Failed(json) => Some(json),
+            _ => None,
+        }
+    }
 }
 
 #[derive(Debug)]
 struct Campaign {
     wire: WireConfig,
     units: Vec<Unit>,
+    completed: usize,
+    failed: usize,
+    /// Whether the campaign still waits for its first lease; it is then
+    /// counted in `Inner::queued`.
+    waiting: bool,
+    /// Whether a drain cut the campaign short.
+    cancelled: bool,
+}
+
+impl Campaign {
+    fn finished(&self) -> bool {
+        self.completed + self.failed == self.units.len()
+    }
+
+    /// The campaign's state, derived here and nowhere else.
+    fn state(&self) -> &'static str {
+        if self.cancelled {
+            "cancelled"
+        } else if self.finished() {
+            if self.completed > 0 {
+                "complete"
+            } else {
+                "failed"
+            }
+        } else if self.waiting {
+            "queued"
+        } else {
+            "running"
+        }
+    }
+
+    /// Moves unit `index` to a terminal state (a late result may flip
+    /// `Failed` to `Completed`); returns whether that finished the
+    /// campaign.
+    fn settle(&mut self, index: usize, state: UnitState) -> bool {
+        let was_finished = self.finished();
+        let unit = &mut self.units[index];
+        match unit.state {
+            UnitState::Completed(_) => self.completed -= 1,
+            UnitState::Failed(_) => self.failed -= 1,
+            _ => {}
+        }
+        match state {
+            UnitState::Completed(_) => self.completed += 1,
+            _ => self.failed += 1,
+        }
+        unit.state = state;
+        !was_finished && self.finished()
+    }
+
+    /// Renders the status document: `id`, `state`, `cells_total`,
+    /// `cells_done`, `cells_failed`, and once finished (and asked for)
+    /// the `results` array in plan order.
+    fn render(&self, id: u64, with_results: bool, out: &mut String) {
+        out.push_str(&format!(
+            "{{\"id\":{id},\"state\":\"{}\",\"cells_total\":{},\"cells_done\":{},\
+             \"cells_failed\":{}",
+            self.state(),
+            self.units.len(),
+            self.completed + self.failed,
+            self.failed,
+        ));
+        if with_results && self.finished() {
+            out.push_str(",\"results\":[");
+            for (i, cell) in self.units.iter().filter_map(Unit::rendered).enumerate() {
+                if i > 0 {
+                    out.push(',');
+                }
+                out.push_str(cell);
+            }
+            out.push(']');
+        }
+        out.push('}');
+    }
 }
 
 #[derive(Debug)]
@@ -174,12 +254,17 @@ struct Inner {
     workers: BTreeMap<u64, WorkerSlot>,
     next_campaign: u64,
     campaigns: BTreeMap<u64, Campaign>,
-    sync_log: Vec<SyncEntry>,
+    /// Units whose result the store holds, in the order they got there;
+    /// a sync page reads each payload back from the store.
+    sync_log: Vec<UnitRef>,
+    /// Campaigns waiting for their first lease.
+    queued: usize,
+    draining: bool,
 }
 
-/// The coordinator node's cluster state. Shared between the HTTP routes
-/// via `Arc`; one mutex guards everything (transitions are cheap — the
-/// expensive part, simulation, happens on workers).
+/// A node's campaign state. Shared between the HTTP routes and the
+/// in-process lane via `Arc`; one mutex guards everything (transitions
+/// are cheap — simulation happens in the lane or on workers).
 #[derive(Debug)]
 pub struct Coordinator {
     cfg: ClusterConfig,
@@ -187,12 +272,17 @@ pub struct Coordinator {
     store: Option<ResultStore>,
     registry: Arc<MetricsRegistry>,
     inner: Mutex<Inner>,
+    /// Signalled when a unit may have become ready (a submission, a
+    /// requeue) and when a drain begins; the in-process lane waits on it.
+    work: Condvar,
+    /// Cancelled by a drain; the in-process lane's evaluations observe it.
+    cancel: CancelToken,
 }
 
 impl Coordinator {
-    /// Creates a coordinator. `base` supplies the non-result-relevant
-    /// config defaults; `store` (when present) pre-resolves submitted
-    /// cells and persists pushed results.
+    /// Creates a coordinator. `base` supplies the engine configuration
+    /// campaigns are resolved against; `store` (when present) pre-resolves
+    /// submitted cells, persists computed ones and feeds the sync log.
     pub fn new(
         cfg: ClusterConfig,
         base: EvalConfig,
@@ -205,6 +295,8 @@ impl Coordinator {
             store,
             registry,
             inner: Mutex::new(Inner::default()),
+            work: Condvar::new(),
+            cancel: CancelToken::new(),
         }
     }
 
@@ -213,7 +305,17 @@ impl Coordinator {
         &self.cfg
     }
 
-    fn lock(&self) -> std::sync::MutexGuard<'_, Inner> {
+    /// The engine configuration campaigns are resolved against.
+    pub fn base(&self) -> &EvalConfig {
+        &self.base
+    }
+
+    /// The token a drain cancels.
+    pub fn cancel_token(&self) -> CancelToken {
+        self.cancel.clone()
+    }
+
+    fn lock(&self) -> MutexGuard<'_, Inner> {
         self.inner.lock().expect("coordinator lock poisoned")
     }
 
@@ -227,6 +329,12 @@ impl Coordinator {
             &CacheGeometry::dsn_l1(),
             key,
         )
+    }
+
+    /// The stored result of `key` under `wire`, straight from the store:
+    /// a point query never recomputes.
+    pub fn load(&self, wire: &WireConfig, key: &CellKey) -> Option<StoredCell> {
+        self.store.as_ref()?.load(&self.store_key(wire, key))
     }
 
     /// Registers a worker and returns its id.
@@ -267,9 +375,14 @@ impl Coordinator {
             .ok_or_else(|| format!("unknown or expired worker {worker}"))?;
         slot.last_seen = now;
         let mut renewed = 0u64;
-        for campaign in inner.campaigns.values_mut() {
-            for unit in &mut campaign.units {
-                for lease in unit.leases.iter_mut().filter(|l| l.worker == worker) {
+        for unit in inner
+            .campaigns
+            .values_mut()
+            .filter(|c| !c.finished())
+            .flat_map(|c| &mut c.units)
+        {
+            if let UnitState::Leased { leases, .. } = &mut unit.state {
+                for lease in leases.iter_mut().filter(|l| l.worker == worker) {
                     lease.expires_at = now + self.cfg.lease_ttl;
                     renewed += 1;
                 }
@@ -281,56 +394,130 @@ impl Coordinator {
         Ok(())
     }
 
-    /// Submits a campaign; returns its id. Cells the coordinator's own
-    /// store already holds complete immediately (and enter the sync log)
-    /// without ever being dispatched.
-    pub fn submit(&self, wire: WireConfig, plan: &ExperimentPlan, now: Instant) -> u64 {
-        let _ = now;
-        let resolved: Vec<Option<StoredCell>> = plan
+    fn admit(&self, inner: &Inner) -> Result<(), SubmitError> {
+        if inner.draining {
+            return Err(SubmitError::Draining);
+        }
+        if inner.queued >= self.cfg.queue_depth {
+            self.registry.add("serve.rejected", 1);
+            return Err(SubmitError::QueueFull);
+        }
+        Ok(())
+    }
+
+    /// Submits a campaign; returns its id. Cells the store already holds
+    /// complete at once (and enter the sync log) without ever being
+    /// leased; a campaign they settle entirely is complete on return.
+    ///
+    /// # Errors
+    ///
+    /// [`SubmitError::Draining`] once a drain has begun,
+    /// [`SubmitError::QueueFull`] when `queue_depth` campaigns wait.
+    pub fn submit(&self, wire: WireConfig, plan: &ExperimentPlan) -> Result<u64, SubmitError> {
+        // Refuse before touching the store, then resolve and render the
+        // store hits outside the lock.
+        self.admit(&self.lock())?;
+        let mut trials_loaded = 0;
+        let hits: Vec<Option<Box<str>>> = plan
             .cells()
             .iter()
             .map(|key| {
-                self.store
-                    .as_ref()
-                    .and_then(|s| s.load(&self.store_key(&wire, key)))
+                let cell = self.load(&wire, key)?;
+                trials_loaded += cell.trials.len() as u64 + cell.failed_links;
+                Some(cell_json(key, &stored_cell_result(key, cell)).into())
             })
             .collect();
         let mut inner = self.lock();
+        self.admit(&inner)?;
         inner.next_campaign += 1;
         let id = inner.next_campaign;
-        let mut units = Vec::with_capacity(plan.len());
-        let mut hits = 0u64;
-        for (key, hit) in plan.cells().iter().zip(resolved) {
+        let mut campaign = Campaign {
+            wire,
+            units: Vec::with_capacity(plan.len()),
+            completed: 0,
+            failed: 0,
+            waiting: false,
+            cancelled: false,
+        };
+        for (index, (key, hit)) in plan.cells().iter().zip(hits).enumerate() {
             let state = match hit {
-                Some(cell) => {
-                    hits += 1;
-                    Self::log_sync(&mut inner.sync_log, &wire, key, &cell);
-                    UnitState::Completed(cell)
+                Some(json) => {
+                    campaign.completed += 1;
+                    inner.sync_log.push(UnitRef {
+                        campaign: id,
+                        index,
+                    });
+                    UnitState::Completed(json)
                 }
                 None => UnitState::Pending { available_at: None },
             };
-            units.push(Unit {
+            campaign.units.push(Unit {
                 key: *key,
                 attempts: 0,
-                leases: Vec::new(),
-                first_leased_at: None,
                 state,
             });
         }
-        inner.campaigns.insert(id, Campaign { wire, units });
-        self.registry.add("cluster.campaigns.submitted", 1);
-        if hits > 0 {
-            self.registry.add("cluster.units.store_hits", hits);
+        self.registry.add("serve.campaigns.submitted", 1);
+        let store_hits = campaign.completed as u64;
+        if campaign.finished() {
+            self.count_finished(&campaign);
+        } else {
+            campaign.waiting = true;
+            inner.queued += 1;
+            self.registry
+                .gauge("serve.queue.depth", inner.queued as u64);
         }
-        id
+        inner.campaigns.insert(id, campaign);
+        drop(inner);
+        self.work.notify_all();
+        self.account_store(&[
+            ("engine.store.cell_hits", store_hits),
+            ("engine.store.trials_loaded", trials_loaded),
+            ("engine.store.cell_misses", plan.len() as u64 - store_hits),
+        ]);
+        Ok(id)
     }
 
-    /// Grants up to `max_units` (clamped to [`ClusterConfig::lease_units`])
-    /// units to a worker. Pending units are granted first, in campaign
-    /// and plan order; an otherwise-idle worker instead *steals* — takes
-    /// a duplicate lease on — in-flight units older than
-    /// [`ClusterConfig::steal_after`], never its own and never beyond
-    /// [`ClusterConfig::max_duplicates`] concurrent leases.
+    /// Counts what the store resolved or took under the names an
+    /// evaluator with a store writes (a zero count writes nothing), then
+    /// exports the store's `store.*` gauges, as the evaluator does after
+    /// every plan. Nothing without a store.
+    fn account_store(&self, counts: &[(&'static str, u64)]) {
+        let Some(store) = &self.store else {
+            return;
+        };
+        for &(name, count) in counts.iter().filter(|(_, count)| *count > 0) {
+            self.registry.add(name, count);
+        }
+        store.stats().export(&*self.registry);
+    }
+
+    /// Takes a campaign out of the queue: its first unit was leased (or,
+    /// from a stale reference, completed unleased).
+    fn dequeue(&self, queued: &mut usize, campaign: &mut Campaign) {
+        if campaign.waiting {
+            campaign.waiting = false;
+            *queued -= 1;
+            self.registry.gauge("serve.queue.depth", *queued as u64);
+        }
+    }
+
+    /// Counts a campaign's one transition to a terminal state.
+    fn count_finished(&self, campaign: &Campaign) {
+        let name = if campaign.completed > 0 {
+            "serve.campaigns.completed"
+        } else {
+            "serve.campaigns.failed"
+        };
+        self.registry.add(name, 1);
+    }
+
+    /// Grants up to `max_units` units to a worker, all from one campaign,
+    /// so one plan runs them under one wire config. Ready units of the
+    /// oldest campaign that has any are granted first, in plan order; an
+    /// otherwise-idle worker instead *steals* — takes a duplicate lease
+    /// on — in-flight units older than [`ClusterConfig::steal_after`],
+    /// never its own and never beyond two concurrent leases per unit.
     ///
     /// # Errors
     ///
@@ -341,143 +528,168 @@ impl Coordinator {
         max_units: usize,
         now: Instant,
     ) -> Result<Vec<LeaseGrant>, String> {
-        let mut inner = self.lock();
-        self.expire(&mut inner, now);
+        let mut guard = self.lock();
+        self.expire(&mut guard, now);
+        let inner = &mut *guard;
         let slot = inner
             .workers
             .get_mut(&worker)
             .filter(|w| w.alive)
             .ok_or_else(|| format!("unknown or expired worker {worker}"))?;
         slot.last_seen = now;
-        let budget = max_units.min(self.cfg.lease_units).max(1);
-        let mut grants = Vec::new();
+        let budget = max_units.max(1);
         let expires_at = now + self.cfg.lease_ttl;
-        for (&cid, campaign) in inner.campaigns.iter_mut() {
-            if grants.len() >= budget {
-                break;
-            }
-            for (index, unit) in campaign.units.iter_mut().enumerate() {
-                if grants.len() >= budget {
-                    break;
+        let slow = |u: &Unit| {
+            matches!(&u.state, UnitState::Leased { since, leases }
+                if now.duration_since(*since) >= self.cfg.steal_after
+                    && leases.len() < MAX_DUPLICATES
+                    && leases.iter().all(|l| l.worker != worker))
+        };
+        let mut open = inner.campaigns.iter_mut().filter(|(_, c)| !c.finished());
+        let (stolen, (&cid, campaign)) =
+            match open.find(|(_, c)| c.units.iter().any(|u| u.ready(now))) {
+                Some(found) => (false, found),
+                None => {
+                    // Idle worker: duplicate-dispatch slow in-flight units.
+                    let mut open = inner.campaigns.iter_mut().filter(|(_, c)| !c.finished());
+                    match open.find(|(_, c)| c.units.iter().any(&slow)) {
+                        Some(found) => (true, found),
+                        None => return Ok(Vec::new()),
+                    }
                 }
-                let ready = match unit.state {
-                    UnitState::Pending { available_at } => available_at.is_none_or(|at| at <= now),
-                    _ => false,
-                };
-                if !ready {
-                    continue;
+            };
+        self.dequeue(&mut inner.queued, campaign);
+        let wire = campaign.wire;
+        let grants: Vec<LeaseGrant> = campaign
+            .units
+            .iter_mut()
+            .enumerate()
+            .filter(|(_, u)| if stolen { slow(u) } else { u.ready(now) })
+            .take(budget)
+            .map(|(index, unit)| {
+                let lease = Lease { worker, expires_at };
+                match &mut unit.state {
+                    UnitState::Leased { leases, .. } => leases.push(lease),
+                    state => {
+                        *state = UnitState::Leased {
+                            since: now,
+                            leases: vec![lease],
+                        }
+                    }
                 }
-                unit.state = UnitState::Leased;
-                unit.leases.push(Lease { worker, expires_at });
-                unit.first_leased_at.get_or_insert(now);
-                grants.push(LeaseGrant {
+                LeaseGrant {
                     unit: UnitRef {
                         campaign: cid,
                         index,
                     },
                     key: unit.key,
-                    wire: campaign.wire,
-                    stolen: false,
-                });
-            }
-        }
-        if grants.is_empty() {
-            // Idle worker: duplicate-dispatch slow in-flight units.
-            'steal: for (&cid, campaign) in inner.campaigns.iter_mut() {
-                for (index, unit) in campaign.units.iter_mut().enumerate() {
-                    if grants.len() >= budget {
-                        break 'steal;
-                    }
-                    let slow = matches!(unit.state, UnitState::Leased)
-                        && unit
-                            .first_leased_at
-                            .is_some_and(|at| now.duration_since(at) >= self.cfg.steal_after)
-                        && unit.leases.len() < self.cfg.max_duplicates
-                        && unit.leases.iter().all(|l| l.worker != worker);
-                    if !slow {
-                        continue;
-                    }
-                    unit.leases.push(Lease { worker, expires_at });
-                    grants.push(LeaseGrant {
-                        unit: UnitRef {
-                            campaign: cid,
-                            index,
-                        },
-                        key: unit.key,
-                        wire: campaign.wire,
-                        stolen: true,
-                    });
+                    wire,
+                    stolen,
                 }
-            }
-        }
-        let stolen = grants.iter().filter(|g| g.stolen).count() as u64;
-        if stolen > 0 {
-            self.registry.add("cluster.leases.stolen", stolen);
-        }
-        let fresh = grants.len() as u64 - stolen;
-        if fresh > 0 {
-            self.registry.add("cluster.leases.granted", fresh);
-        }
+            })
+            .collect();
+        let name = if stolen {
+            "cluster.leases.stolen"
+        } else {
+            "cluster.leases.granted"
+        };
+        self.registry.add(name, grants.len() as u64);
         Ok(grants)
     }
 
-    /// Accepts a completed cell. First writer wins: a duplicate of an
+    /// Blocks the in-process lane until a unit is ready to lease or a
+    /// drain begins: submissions and requeues signal, and a unit backing
+    /// off is waited out to its due time. Never polls.
+    pub fn wait_for_work(&self) {
+        let mut inner = self.lock();
+        while !inner.draining {
+            let now = Instant::now();
+            let mut due: Option<Instant> = None;
+            for unit in inner
+                .campaigns
+                .values()
+                .filter(|c| !c.finished())
+                .flat_map(|c| &c.units)
+            {
+                match unit.state {
+                    UnitState::Pending {
+                        available_at: Some(at),
+                    } if at > now => due = Some(due.map_or(at, |d| d.min(at))),
+                    UnitState::Pending { .. } => return,
+                    _ => {}
+                }
+            }
+            inner = match due {
+                Some(at) => {
+                    let waited = self.work.wait_timeout(inner, at - now);
+                    waited.expect("coordinator lock poisoned").0
+                }
+                None => self.work.wait(inner).expect("coordinator lock poisoned"),
+            };
+        }
+    }
+
+    /// Accepts a computed cell. The cell is persisted before the unit is
+    /// marked, so a campaign that reads `complete` has every computed cell
+    /// in the store already. First writer wins: a duplicate of an
     /// already-completed unit is counted and discarded (determinism
     /// guarantees its bytes were identical anyway). Late results are
-    /// accepted from any worker — even one declared dead or a unit
-    /// already marked failed — because a computed result is correct
-    /// regardless of who delivers it or when.
+    /// accepted from any worker — even one declared dead, for a unit
+    /// already marked failed, or for a cancelled campaign — because a
+    /// computed result is correct regardless of who delivers it or when.
     ///
     /// # Errors
     ///
     /// When the unit reference does not exist.
-    pub fn complete(
-        &self,
-        worker: u64,
-        unit_ref: UnitRef,
-        cell: &StoredCell,
-        now: Instant,
-    ) -> Result<(), String> {
-        let _ = now;
-        let save = {
+    pub fn complete(&self, worker: u64, unit_ref: UnitRef, cell: StoredCell) -> Result<(), String> {
+        let (wire, key) = {
             let mut inner = self.lock();
-            let campaign = inner
-                .campaigns
-                .get_mut(&unit_ref.campaign)
-                .ok_or_else(|| format!("unknown campaign {}", unit_ref.campaign))?;
-            let wire = campaign.wire;
-            let unit = campaign
-                .units
-                .get_mut(unit_ref.index)
-                .ok_or_else(|| format!("campaign has no unit {}", unit_ref.index))?;
+            let campaign = locate(&mut inner.campaigns, unit_ref)?;
+            let unit = &campaign.units[unit_ref.index];
             if matches!(unit.state, UnitState::Completed(_)) {
                 self.registry.add("cluster.units.duplicate", 1);
                 return Ok(());
             }
-            let key = unit.key;
-            unit.leases.clear();
-            unit.state = UnitState::Completed(cell.clone());
-            Self::log_sync(&mut inner.sync_log, &wire, &key, cell);
-            if let Some(slot) = inner.workers.get_mut(&worker) {
-                slot.units_done += 1;
-            }
-            self.registry.add("cluster.units.completed", 1);
-            (wire, key)
+            (campaign.wire, unit.key)
         };
-        // Persist outside the lock: a slow disk must not stall leasing.
-        if let Some(store) = &self.store {
-            let (wire, key) = save;
-            if let Err(e) = store.save(&self.store_key(&wire, &key), cell) {
-                // A failed save degrades restart resumability, not
-                // correctness — the in-memory result stands.
+        // Persist outside the lock: a slow disk must not stall leasing. A
+        // duplicate racing this one writes the same bytes.
+        let saved = self.store.as_ref().is_some_and(|store| {
+            let saved = store.save(&self.store_key(&wire, &key), &cell).is_ok();
+            if !saved {
+                // A failed save degrades resumability and the sync log,
+                // not correctness: the rendered result stands.
                 self.registry.add("cluster.store.save_errors", 1);
-                let _ = e;
             }
+            saved
+        });
+        self.account_store(&[("engine.store.cell_saves", u64::from(saved))]);
+        let json = cell_json(&key, &stored_cell_result(&key, cell));
+        let mut inner = self.lock();
+        let inner = &mut *inner;
+        let campaign = locate(&mut inner.campaigns, unit_ref)?;
+        if matches!(
+            campaign.units[unit_ref.index].state,
+            UnitState::Completed(_)
+        ) {
+            self.registry.add("cluster.units.duplicate", 1);
+            return Ok(());
         }
+        self.dequeue(&mut inner.queued, campaign);
+        if campaign.settle(unit_ref.index, UnitState::Completed(json.into())) {
+            self.count_finished(campaign);
+        }
+        if saved {
+            inner.sync_log.push(unit_ref);
+        }
+        if let Some(slot) = inner.workers.get_mut(&worker) {
+            slot.units_done += 1;
+        }
+        self.registry.add("cluster.units.completed", 1);
         Ok(())
     }
 
-    /// Records a worker-reported failure of a leased unit (e.g. an
+    /// Records a worker-reported failure of a unit it leased (e.g. an
     /// invariant violation). Drops that worker's lease; when no live
     /// lease remains the unit requeues with backoff, or fails terminally
     /// after [`ClusterConfig::max_attempts`].
@@ -493,32 +705,60 @@ impl Coordinator {
         now: Instant,
     ) -> Result<(), String> {
         let mut inner = self.lock();
-        let campaign = inner
-            .campaigns
-            .get_mut(&unit_ref.campaign)
-            .ok_or_else(|| format!("unknown campaign {}", unit_ref.campaign))?;
-        let unit = campaign
-            .units
-            .get_mut(unit_ref.index)
-            .ok_or_else(|| format!("campaign has no unit {}", unit_ref.index))?;
-        if matches!(unit.state, UnitState::Completed(_)) {
-            return Ok(()); // a duplicate already delivered the result
-        }
-        unit.leases.retain(|l| l.worker != worker);
-        if unit.leases.is_empty() {
-            self.requeue(unit, error, now);
+        let campaign = locate(&mut inner.campaigns, unit_ref)?;
+        let UnitState::Leased { leases, .. } = &mut campaign.units[unit_ref.index].state else {
+            return Ok(()); // settled already, or the lease expired
+        };
+        leases.retain(|l| l.worker != worker);
+        if leases.is_empty() {
+            self.requeue(campaign, unit_ref.index, error, now);
         }
         Ok(())
+    }
+
+    /// Begins a drain: refuses new submissions, cancels every campaign
+    /// that has not finished (its unfinished cells render as error cells)
+    /// and cancels the in-process lane's evaluation, which stops at the
+    /// next trial boundary. Cells completed afterwards are still accepted
+    /// and persisted.
+    pub fn drain(&self) {
+        let mut inner = self.lock();
+        if inner.draining {
+            return;
+        }
+        inner.draining = true;
+        inner.queued = 0;
+        for campaign in inner.campaigns.values_mut().filter(|c| !c.finished()) {
+            campaign.cancelled = true;
+            campaign.waiting = false;
+            for index in 0..campaign.units.len() {
+                if campaign.units[index].rendered().is_none() {
+                    let json = cell_error_json(&campaign.units[index].key, "cancelled by a drain");
+                    campaign.settle(index, UnitState::Failed(json.into()));
+                }
+            }
+            self.registry.add("serve.campaigns.cancelled", 1);
+        }
+        self.registry.gauge("serve.queue.depth", 0);
+        self.cancel.cancel();
+        drop(inner);
+        self.work.notify_all();
+    }
+
+    /// Whether a drain has begun.
+    pub fn draining(&self) -> bool {
+        self.lock().draining
+    }
+
+    /// Campaigns waiting for their first lease.
+    pub fn queue_depth(&self) -> usize {
+        self.lock().queued
     }
 
     /// Lazily applies the passage of time: leases past their expiry are
     /// dropped, units left with no live lease requeue (or fail
     /// terminally), workers silent past the TTL are declared dead.
-    pub fn tick(&self, now: Instant) {
-        let mut inner = self.lock();
-        self.expire(&mut inner, now);
-    }
-
+    /// Finished campaigns hold no lease and are skipped.
     fn expire(&self, inner: &mut Inner, now: Instant) {
         let mut died = 0u64;
         for slot in inner.workers.values_mut() {
@@ -535,13 +775,16 @@ impl Coordinator {
             );
         }
         let mut expired = 0u64;
-        for campaign in inner.campaigns.values_mut() {
-            for unit in &mut campaign.units {
-                let before = unit.leases.len();
-                unit.leases.retain(|l| l.expires_at > now);
-                expired += (before - unit.leases.len()) as u64;
-                if matches!(unit.state, UnitState::Leased) && unit.leases.is_empty() {
-                    self.requeue(unit, "lease expired", now);
+        for campaign in inner.campaigns.values_mut().filter(|c| !c.finished()) {
+            for index in 0..campaign.units.len() {
+                let UnitState::Leased { leases, .. } = &mut campaign.units[index].state else {
+                    continue;
+                };
+                let before = leases.len();
+                leases.retain(|l| l.expires_at > now);
+                expired += (before - leases.len()) as u64;
+                if leases.is_empty() {
+                    self.requeue(campaign, index, "lease expired", now);
                 }
             }
         }
@@ -550,71 +793,50 @@ impl Coordinator {
         }
     }
 
-    fn requeue(&self, unit: &mut Unit, error: &str, now: Instant) {
+    fn requeue(&self, campaign: &mut Campaign, index: usize, error: &str, now: Instant) {
+        let unit = &mut campaign.units[index];
         unit.attempts += 1;
-        unit.first_leased_at = None;
         if unit.attempts >= self.cfg.max_attempts {
-            unit.state =
-                UnitState::Failed(format!("{error} ({} attempts exhausted)", unit.attempts));
+            let error = format!("{error} ({} attempts exhausted)", unit.attempts);
+            let json = cell_error_json(&unit.key, &error);
             self.registry.add("cluster.units.failed", 1);
+            if campaign.settle(index, UnitState::Failed(json.into())) {
+                self.count_finished(campaign);
+            }
         } else {
             unit.state = UnitState::Pending {
                 available_at: Some(now + self.cfg.retry_backoff * unit.attempts),
             };
             self.registry.add("cluster.units.requeued", 1);
+            self.work.notify_all();
         }
     }
 
-    fn log_sync(log: &mut Vec<SyncEntry>, wire: &WireConfig, key: &CellKey, cell: &StoredCell) {
-        let seq = log.len() as u64 + 1;
-        log.push(SyncEntry {
-            seq,
-            wire: *wire,
-            key: *key,
-            cell: cell.clone(),
-        });
-    }
-
-    /// Progress (and per-cell outcomes, in plan order) of a campaign.
-    /// Runs lease expiry first so status polls alone keep time moving.
-    pub fn progress(&self, id: u64, now: Instant) -> Option<CampaignProgress> {
+    /// One campaign's status document (see `Campaign::render`), with its
+    /// results once finished; `None` for an unknown id. Runs lease expiry
+    /// first so status polls alone keep time moving.
+    pub fn status_json(&self, id: u64, now: Instant) -> Option<String> {
         let mut inner = self.lock();
         self.expire(&mut inner, now);
-        let campaign = inner.campaigns.get(&id)?;
-        let mut completed = 0;
-        let mut failed = 0;
-        let results: Vec<(CellKey, CellOutcome)> = campaign
-            .units
-            .iter()
-            .map(|u| {
-                let outcome = match &u.state {
-                    UnitState::Completed(cell) => {
-                        completed += 1;
-                        CellOutcome::Completed(cell.clone())
-                    }
-                    UnitState::Failed(e) => {
-                        failed += 1;
-                        CellOutcome::Failed(e.clone())
-                    }
-                    _ => CellOutcome::Pending,
-                };
-                (u.key, outcome)
-            })
-            .collect();
-        Some(CampaignProgress {
-            id,
-            wire: campaign.wire,
-            total: results.len(),
-            completed,
-            failed,
-            done: completed + failed == results.len(),
-            results,
-        })
+        let mut out = String::new();
+        inner.campaigns.get(&id)?.render(id, true, &mut out);
+        Some(out)
     }
 
-    /// Ids of all submitted campaigns, in submission order.
-    pub fn campaign_ids(&self) -> Vec<u64> {
-        self.lock().campaigns.keys().copied().collect()
+    /// Every campaign's status document, without results, in submission
+    /// order.
+    pub fn list_json(&self, now: Instant) -> String {
+        let mut inner = self.lock();
+        self.expire(&mut inner, now);
+        let mut out = String::from("[");
+        for (i, (&id, campaign)) in inner.campaigns.iter().enumerate() {
+            if i > 0 {
+                out.push(',');
+            }
+            campaign.render(id, false, &mut out);
+        }
+        out.push(']');
+        out
     }
 
     /// Registration status of every worker ever joined.
@@ -633,33 +855,70 @@ impl Coordinator {
             .collect()
     }
 
-    /// Units currently waiting to be (re)leased, across all campaigns —
-    /// the coordinator's notion of queue depth.
-    pub fn pending_units(&self) -> usize {
-        self.lock()
-            .campaigns
-            .values()
-            .flat_map(|c| &c.units)
-            .filter(|u| matches!(u.state, UnitState::Pending { .. }))
-            .count()
-    }
-
     /// Sync-log entries with `seq > after`, up to `limit`, plus the
-    /// latest sequence number. Workers poll this to converge their local
-    /// stores on every completed cell of every campaign.
+    /// latest sequence number. Each payload is read back from the store
+    /// outside the lock; an entry whose cell the store has since evicted
+    /// is skipped. Workers poll this to converge their local stores on
+    /// every completed cell of every campaign.
     pub fn sync_since(&self, after: u64, limit: usize) -> (Vec<SyncEntry>, u64) {
-        let inner = self.lock();
-        let latest = inner.sync_log.len() as u64;
-        let from = (after.min(latest)) as usize;
-        let entries = inner.sync_log[from..].iter().take(limit).cloned().collect();
-        (entries, latest)
+        let mut entries = Vec::new();
+        let mut next = after;
+        loop {
+            let (refs, latest) = {
+                let inner = self.lock();
+                let latest = inner.sync_log.len() as u64;
+                let from = next.min(latest) as usize;
+                let refs: Vec<(u64, WireConfig, CellKey)> = inner.sync_log[from..]
+                    .iter()
+                    .take(limit - entries.len())
+                    .zip(from as u64 + 1..)
+                    .map(|(r, seq)| {
+                        let campaign = &inner.campaigns[&r.campaign];
+                        (seq, campaign.wire, campaign.units[r.index].key)
+                    })
+                    .collect();
+                (refs, latest)
+            };
+            if refs.is_empty() {
+                return (entries, latest);
+            }
+            for (seq, wire, key) in refs {
+                next = seq;
+                if let Some(cell) = self.load(&wire, &key) {
+                    entries.push(SyncEntry {
+                        seq,
+                        wire,
+                        key,
+                        cell,
+                    });
+                }
+            }
+            if entries.len() >= limit {
+                return (entries, latest);
+            }
+        }
     }
+}
+
+/// The campaign holding `unit_ref`, once the reference checks out.
+fn locate(
+    campaigns: &mut BTreeMap<u64, Campaign>,
+    unit_ref: UnitRef,
+) -> Result<&mut Campaign, String> {
+    let campaign = campaigns
+        .get_mut(&unit_ref.campaign)
+        .ok_or_else(|| format!("unknown campaign {}", unit_ref.campaign))?;
+    if unit_ref.index >= campaign.units.len() {
+        return Err(format!("campaign has no unit {}", unit_ref.index));
+    }
+    Ok(campaign)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use dvs_core::Scheme;
+    use dvs_obs::json::Value;
     use dvs_sram::MilliVolts;
     use dvs_workloads::Benchmark;
 
@@ -672,6 +931,20 @@ mod tests {
         )
     }
 
+    /// A coordinator over an empty store in a fresh temporary directory.
+    fn stored_coordinator(tag: &str, cfg: ClusterConfig) -> (Coordinator, ResultStore) {
+        let dir = std::env::temp_dir().join(format!("dvs-cluster-{tag}-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        let store = ResultStore::open(&dir).unwrap();
+        let c = Coordinator::new(
+            cfg,
+            EvalConfig::quick(),
+            Some(store.clone()),
+            Arc::new(MetricsRegistry::new()),
+        );
+        (c, store)
+    }
+
     fn quick_cfg() -> ClusterConfig {
         ClusterConfig {
             lease_ttl: Duration::from_millis(100),
@@ -679,8 +952,12 @@ mod tests {
             max_attempts: 3,
             retry_backoff: Duration::from_millis(10),
             lease_units: 2,
-            max_duplicates: 2,
+            queue_depth: 8,
         }
+    }
+
+    fn wire() -> WireConfig {
+        WireConfig::of(&EvalConfig::quick())
     }
 
     fn plan2() -> ExperimentPlan {
@@ -690,6 +967,14 @@ mod tests {
         ])
     }
 
+    fn plan1() -> ExperimentPlan {
+        ExperimentPlan::for_cells([CellKey::new(
+            Benchmark::Crc32,
+            Scheme::FfwBbr,
+            MilliVolts::new(480),
+        )])
+    }
+
     fn cell(n: u64) -> StoredCell {
         StoredCell {
             failed_links: n,
@@ -697,29 +982,65 @@ mod tests {
         }
     }
 
+    /// `cell` as the status document renders it for `key`.
+    fn rendered(key: &CellKey, cell: StoredCell) -> Value {
+        Value::parse(&cell_json(key, &stored_cell_result(key, cell))).unwrap()
+    }
+
+    /// The parsed status document of campaign `id` at `now`.
+    fn status(c: &Coordinator, id: u64, now: Instant) -> Value {
+        Value::parse(&c.status_json(id, now).expect("known campaign")).expect("status is JSON")
+    }
+
+    fn field(v: &Value, key: &str) -> usize {
+        v.get(key).and_then(Value::as_f64).expect(key) as usize
+    }
+
+    fn state(v: &Value) -> &str {
+        v.get("state").and_then(Value::as_str).expect("state")
+    }
+
+    /// The `i`-th cell of a finished campaign's results.
+    fn result(c: &Coordinator, id: u64, i: usize) -> Value {
+        let s = status(c, id, Instant::now());
+        s.get("results").and_then(Value::as_arr).expect("results")[i].clone()
+    }
+
+    fn error(cell: &Value) -> &str {
+        cell.get("error")
+            .and_then(Value::as_str)
+            .expect("an error cell")
+    }
+
     #[test]
-    fn leases_grant_in_plan_order_up_to_budget() {
+    fn leases_grant_in_plan_order_up_to_budget_and_never_span_campaigns() {
         let c = coordinator(quick_cfg());
         let t0 = Instant::now();
         let w = c.join("w", t0);
-        let id = c.submit(WireConfig::of(&EvalConfig::quick()), &plan2(), t0);
+        let id = c.submit(wire(), &plan2()).unwrap();
+        let other = c.submit(wire(), &plan2()).unwrap();
+        let grants = c.lease(w, 1, t0).unwrap();
+        assert_eq!(
+            grants[..],
+            [LeaseGrant {
+                unit: UnitRef {
+                    campaign: id,
+                    index: 0
+                },
+                key: plan2().cells()[0],
+                wire: wire(),
+                stolen: false,
+            }]
+        );
+        // The budget is the caller's: the rest of the first campaign, and
+        // nothing of the second.
         let grants = c.lease(w, 8, t0).unwrap();
-        assert_eq!(grants.len(), 2); // clamped to lease_units
-        assert_eq!(
-            grants[0].unit,
-            UnitRef {
-                campaign: id,
-                index: 0
-            }
-        );
-        assert_eq!(
-            grants[1].unit,
-            UnitRef {
-                campaign: id,
-                index: 1
-            }
-        );
-        assert!(grants.iter().all(|g| !g.stolen));
+        assert_eq!(grants.len(), 1);
+        assert_eq!(grants[0].unit.index, 1);
+        assert_eq!(grants[0].unit.campaign, id);
+        let grants = c.lease(w, 8, t0).unwrap();
+        assert_eq!(grants.len(), 2);
+        assert!(grants.iter().all(|g| g.unit.campaign == other));
         // Everything is leased now; an idle second worker gets nothing
         // until the steal threshold passes.
         let w2 = c.join("w2", t0);
@@ -732,7 +1053,7 @@ mod tests {
         let c = coordinator(cfg);
         let t0 = Instant::now();
         let w = c.join("w", t0);
-        let id = c.submit(WireConfig::of(&EvalConfig::quick()), &plan2(), t0);
+        let id = c.submit(wire(), &plan2()).unwrap();
         let g = c.lease(w, 1, t0).unwrap();
         assert_eq!(g.len(), 1);
 
@@ -741,16 +1062,15 @@ mod tests {
         c.heartbeat(w, t1).unwrap();
         let t2 = t0 + Duration::from_millis(160);
         c.heartbeat(w, t2).unwrap();
-        let p = c.progress(id, t0 + Duration::from_millis(200)).unwrap();
-        assert_eq!(p.completed, 0);
-        assert_eq!(p.failed, 0);
+        let s = status(&c, id, t0 + Duration::from_millis(200));
+        assert_eq!(field(&s, "cells_done"), 0);
+        assert_eq!(state(&s), "running");
 
         // Silence past the TTL: the lease expires, the worker is dead,
         // the unit requeues with backoff.
         let t3 = t2 + cfg.lease_ttl + Duration::from_millis(1);
-        c.tick(t3);
+        c.workers(t3);
         assert!(c.heartbeat(w, t3).is_err(), "dead worker must rejoin");
-        assert_eq!(c.pending_units(), 2);
         // Backoff holds the unit back, then releases it.
         let w2 = c.join("w2", t3);
         let g = c.lease(w2, 2, t3).unwrap();
@@ -765,12 +1085,7 @@ mod tests {
         let cfg = quick_cfg();
         let c = coordinator(cfg);
         let t0 = Instant::now();
-        let plan = ExperimentPlan::for_cells([CellKey::new(
-            Benchmark::Crc32,
-            Scheme::FfwBbr,
-            MilliVolts::new(480),
-        )]);
-        let id = c.submit(WireConfig::of(&EvalConfig::quick()), &plan, t0);
+        let id = c.submit(wire(), &plan1()).unwrap();
         let mut now = t0;
         for attempt in 1..=cfg.max_attempts {
             let w = c.join("w", now);
@@ -778,12 +1093,15 @@ mod tests {
             let g = c.lease(w, 1, now).unwrap();
             assert_eq!(g.len(), 1, "attempt {attempt}");
             now += cfg.lease_ttl + Duration::from_millis(1);
-            c.tick(now);
+            c.workers(now);
         }
-        let p = c.progress(id, now).unwrap();
-        assert_eq!(p.failed, 1);
-        assert!(p.done);
-        assert!(matches!(&p.results[0].1, CellOutcome::Failed(e) if e.contains("lease expired")));
+        let s = status(&c, id, now);
+        assert_eq!(state(&s), "failed");
+        assert_eq!(field(&s, "cells_failed"), 1);
+        assert_eq!(
+            error(&result(&c, id, 0)),
+            format!("lease expired ({} attempts exhausted)", cfg.max_attempts)
+        );
     }
 
     #[test]
@@ -792,7 +1110,7 @@ mod tests {
         let c = coordinator(cfg);
         let t0 = Instant::now();
         let w1 = c.join("w1", t0);
-        let id = c.submit(WireConfig::of(&EvalConfig::quick()), &plan2(), t0);
+        let id = c.submit(wire(), &plan2()).unwrap();
         assert_eq!(c.lease(w1, 2, t0).unwrap().len(), 2);
 
         // w1 itself can never duplicate its own leases.
@@ -800,7 +1118,7 @@ mod tests {
         c.heartbeat(w1, t1).unwrap();
         assert!(c.lease(w1, 2, t1).unwrap().is_empty());
 
-        // An idle second worker steals both (max_duplicates = 2).
+        // An idle second worker steals both (two leases per unit at most).
         let w2 = c.join("w2", t1);
         let g = c.lease(w2, 2, t1).unwrap();
         assert_eq!(g.len(), 2);
@@ -811,10 +1129,9 @@ mod tests {
         assert!(c.lease(w3, 2, t1).unwrap().is_empty());
 
         // First writer wins; the duplicate is absorbed silently.
-        c.complete(w2, g[0].unit, &cell(1), t1).unwrap();
-        c.complete(w1, g[0].unit, &cell(1), t1).unwrap();
-        let p = c.progress(id, t1).unwrap();
-        assert_eq!(p.completed, 1);
+        c.complete(w2, g[0].unit, cell(1)).unwrap();
+        c.complete(w1, g[0].unit, cell(1)).unwrap();
+        assert_eq!(field(&status(&c, id, t1), "cells_done"), 1);
         assert_eq!(
             c.workers(t1)
                 .iter()
@@ -832,12 +1149,7 @@ mod tests {
         let c = coordinator(cfg);
         let t0 = Instant::now();
         let w = c.join("w", t0);
-        let plan = ExperimentPlan::for_cells([CellKey::new(
-            Benchmark::Crc32,
-            Scheme::FfwBbr,
-            MilliVolts::new(480),
-        )]);
-        let id = c.submit(WireConfig::of(&EvalConfig::quick()), &plan, t0);
+        let id = c.submit(wire(), &plan1()).unwrap();
         let mut now = t0;
         for attempt in 1..=cfg.max_attempts {
             now += cfg.retry_backoff * attempt;
@@ -846,47 +1158,33 @@ mod tests {
             assert_eq!(g.len(), 1, "attempt {attempt}");
             c.fail(w, g[0].unit, "invariant violation", now).unwrap();
         }
-        let p = c.progress(id, now).unwrap();
-        assert!(p.done);
-        assert!(
-            matches!(&p.results[0].1, CellOutcome::Failed(e) if e.contains("invariant violation"))
+        assert_eq!(state(&status(&c, id, now)), "failed");
+        assert_eq!(
+            error(&result(&c, id, 0)),
+            "invariant violation (3 attempts exhausted)"
         );
-        // A straggler's late result still flips the unit to completed.
-        c.complete(
-            w,
-            UnitRef {
-                campaign: id,
-                index: 0,
-            },
-            &cell(7),
-            now,
-        )
-        .unwrap();
-        let p = c.progress(id, now).unwrap();
-        assert_eq!(p.completed, 1);
-        assert_eq!(p.failed, 0);
+        // A straggler's late result still flips the unit to completed, and
+        // the unit renders again.
+        let unit = UnitRef {
+            campaign: id,
+            index: 0,
+        };
+        c.complete(w, unit, cell(7)).unwrap();
+        let s = status(&c, id, now);
+        assert_eq!(state(&s), "complete");
+        assert_eq!(field(&s, "cells_done"), 1);
+        assert_eq!(field(&s, "cells_failed"), 0);
+        assert_eq!(result(&c, id, 0), rendered(&plan1().cells()[0], cell(7)));
     }
 
     #[test]
     fn store_prefilled_cells_complete_without_dispatch() {
-        let dir = std::env::temp_dir().join(format!("dvs-cluster-prefill-{}", std::process::id()));
-        let _ = std::fs::remove_dir_all(&dir);
-        let store = ResultStore::open(&dir).unwrap();
-        let base = EvalConfig::quick();
-        let wire = WireConfig::of(&base);
-        let done = CellKey::new(Benchmark::Crc32, Scheme::FfwBbr, MilliVolts::new(480));
-        let c = Coordinator::new(
-            quick_cfg(),
-            base,
-            Some(ResultStore::open(&dir).unwrap()),
-            Arc::new(MetricsRegistry::new()),
-        );
-        store.save(&c.store_key(&wire, &done), &cell(5)).unwrap();
+        let (c, store) = stored_coordinator("prefill", quick_cfg());
+        let done = plan2().cells()[0];
+        store.save(&c.store_key(&wire(), &done), &cell(5)).unwrap();
         let t0 = Instant::now();
-        let id = c.submit(wire, &plan2(), t0);
-        let p = c.progress(id, t0).unwrap();
-        assert_eq!(p.completed, 1);
-        assert_eq!(p.results[0].1, CellOutcome::Completed(cell(5)));
+        let id = c.submit(wire(), &plan2()).unwrap();
+        assert_eq!(field(&status(&c, id, t0), "cells_done"), 1);
         // Only the unresolved cell is dispatched.
         let w = c.join("w", t0);
         let g = c.lease(w, 2, t0).unwrap();
@@ -895,66 +1193,70 @@ mod tests {
         // The pre-resolved cell entered the sync log.
         let (entries, latest) = c.sync_since(0, 16);
         assert_eq!(latest, 1);
-        assert_eq!(entries[0].key, done);
-        let _ = std::fs::remove_dir_all(&dir);
+        assert_eq!((entries[0].key, &entries[0].cell), (done, &cell(5)));
+        // A completed cell is in the store by the time the campaign reads
+        // complete, and renders in plan order beside the store hit.
+        c.complete(w, g[0].unit, cell(6)).unwrap();
+        assert_eq!(state(&status(&c, id, t0)), "complete");
+        assert_eq!(c.load(&wire(), &plan2().cells()[1]), Some(cell(6)));
+        assert_eq!(result(&c, id, 0), rendered(&done, cell(5)));
+        assert_eq!(result(&c, id, 1), rendered(&plan2().cells()[1], cell(6)));
+        let _ = std::fs::remove_dir_all(store.dir());
     }
 
     #[test]
     fn capped_store_eviction_is_a_miss_never_an_error() {
-        let dir = std::env::temp_dir().join(format!("dvs-cluster-capped-{}", std::process::id()));
-        let _ = std::fs::remove_dir_all(&dir);
+        let (c, store) = stored_coordinator("capped", quick_cfg());
         // One byte: after every save the store immediately evicts back
         // down to the single just-written (protected) cell.
-        let store = ResultStore::open(&dir).unwrap().with_max_bytes(1);
-        let base = EvalConfig::quick();
-        let wire = WireConfig::of(&base);
-        let c = Coordinator::new(
-            quick_cfg(),
-            base,
-            Some(store.clone()),
-            Arc::new(MetricsRegistry::new()),
-        );
+        store.set_max_bytes(Some(1));
         let t0 = Instant::now();
-        let id = c.submit(wire, &plan2(), t0);
+        let id = c.submit(wire(), &plan2()).unwrap();
         let w = c.join("w", t0);
         let g = c.lease(w, 2, t0).unwrap();
         assert_eq!(g.len(), 2, "an empty capped store pre-resolves nothing");
-        c.complete(w, g[0].unit, &cell(1), t0).unwrap();
-        c.complete(w, g[1].unit, &cell(2), t0).unwrap();
+        c.complete(w, g[0].unit, cell(1)).unwrap();
+        c.complete(w, g[1].unit, cell(2)).unwrap();
 
         // The campaign ledger is untouched by eviction: both results
         // land even though the store kept at most one of them.
-        let p = c.progress(id, t0).unwrap();
-        assert!(p.done);
-        assert_eq!(p.completed, 2);
-        assert_eq!(p.results[0].1, CellOutcome::Completed(cell(1)));
-        assert_eq!(p.results[1].1, CellOutcome::Completed(cell(2)));
+        assert_eq!(state(&status(&c, id, t0)), "complete");
+        assert_eq!(result(&c, id, 0), rendered(&plan2().cells()[0], cell(1)));
+        assert_eq!(result(&c, id, 1), rendered(&plan2().cells()[1], cell(2)));
         let stats = store.stats();
         assert!(stats.evictions >= 1, "{stats:?}");
         assert!(stats.cells <= 1, "{stats:?}");
+        // A sync page skips the evicted cell instead of serving nothing.
+        let (entries, latest) = c.sync_since(0, 16);
+        assert_eq!(latest, 2);
+        assert_eq!(entries.len(), 1);
+        assert_eq!((entries[0].seq, &entries[0].cell), (2, &cell(2)));
 
         // Resubmitting the same plan treats the evicted cell as a plain
         // miss: it is dispatched again, the survivor pre-resolves.
-        let id2 = c.submit(wire, &plan2(), t0);
-        let p2 = c.progress(id2, t0).unwrap();
-        assert_eq!(p2.completed, 1, "only the surviving cell pre-resolves");
+        let id2 = c.submit(wire(), &plan2()).unwrap();
+        assert_eq!(
+            field(&status(&c, id2, t0), "cells_done"),
+            1,
+            "only the surviving cell pre-resolves"
+        );
         let g2 = c.lease(w, 2, t0).unwrap();
         assert_eq!(g2.len(), 1, "evicted cell must be re-dispatched");
         assert_eq!(g2[0].key, plan2().cells()[0]);
-        c.complete(w, g2[0].unit, &cell(1), t0).unwrap();
-        assert!(c.progress(id2, t0).unwrap().done);
-        let _ = std::fs::remove_dir_all(&dir);
+        c.complete(w, g2[0].unit, cell(1)).unwrap();
+        assert_eq!(state(&status(&c, id2, t0)), "complete");
+        let _ = std::fs::remove_dir_all(store.dir());
     }
 
     #[test]
     fn sync_log_pages_in_order() {
-        let c = coordinator(quick_cfg());
+        let (c, store) = stored_coordinator("sync", quick_cfg());
         let t0 = Instant::now();
         let w = c.join("w", t0);
-        let id = c.submit(WireConfig::of(&EvalConfig::quick()), &plan2(), t0);
+        let id = c.submit(wire(), &plan2()).unwrap();
         let g = c.lease(w, 2, t0).unwrap();
-        c.complete(w, g[0].unit, &cell(1), t0).unwrap();
-        c.complete(w, g[1].unit, &cell(2), t0).unwrap();
+        c.complete(w, g[0].unit, cell(1)).unwrap();
+        c.complete(w, g[1].unit, cell(2)).unwrap();
         let (page1, latest) = c.sync_since(0, 1);
         assert_eq!(latest, 2);
         assert_eq!(page1.len(), 1);
@@ -963,6 +1265,139 @@ mod tests {
         assert_eq!(page2.len(), 1);
         assert_eq!(page2[0].seq, 2);
         assert!(c.sync_since(2, 16).0.is_empty());
-        assert_eq!(c.progress(id, t0).unwrap().completed, 2);
+        assert_eq!(field(&status(&c, id, t0), "cells_done"), 2);
+        let _ = std::fs::remove_dir_all(store.dir());
+    }
+
+    #[test]
+    fn admission_is_bounded_by_campaigns_waiting_for_a_lease() {
+        let registry = Arc::new(MetricsRegistry::new());
+        let cfg = ClusterConfig {
+            queue_depth: 1,
+            ..quick_cfg()
+        };
+        let c = Coordinator::new(cfg, EvalConfig::quick(), None, registry.clone());
+        let t0 = Instant::now();
+        let a = c.submit(wire(), &plan2()).unwrap();
+        assert_eq!(state(&status(&c, a, t0)), "queued");
+        assert_eq!(c.queue_depth(), 1);
+        assert_eq!(c.submit(wire(), &plan2()), Err(SubmitError::QueueFull));
+        assert_eq!(registry.counter("serve.rejected"), 1);
+        // One leased unit takes a campaign out of the queue.
+        let w = c.join("w", t0);
+        c.lease(w, 1, t0).unwrap();
+        assert_eq!(state(&status(&c, a, t0)), "running");
+        assert_eq!(c.queue_depth(), 0);
+        c.submit(wire(), &plan2()).unwrap();
+        assert_eq!(c.submit(wire(), &plan2()), Err(SubmitError::QueueFull));
+        assert_eq!(registry.counter("serve.rejected"), 2);
+        assert_eq!(registry.counter("serve.campaigns.submitted"), 2);
+    }
+
+    #[test]
+    fn a_drain_refuses_submissions_and_leaves_nothing_queued_or_running() {
+        let registry = Arc::new(MetricsRegistry::new());
+        let c = Coordinator::new(quick_cfg(), EvalConfig::quick(), None, registry.clone());
+        let t0 = Instant::now();
+        let w = c.join("w", t0);
+        let running = c.submit(wire(), &plan2()).unwrap();
+        let g = c.lease(w, 1, t0).unwrap();
+        let queued = c.submit(wire(), &plan2()).unwrap();
+        let token = c.cancel_token();
+        c.drain();
+        assert!(token.is_cancelled());
+        assert!(c.draining());
+        assert_eq!(c.submit(wire(), &plan2()), Err(SubmitError::Draining));
+        assert_eq!(c.queue_depth(), 0);
+        let list = c.list_json(t0);
+        assert!(!list.contains("\"state\":\"queued\""), "{list}");
+        assert!(!list.contains("\"state\":\"running\""), "{list}");
+        assert_eq!(registry.counter("serve.campaigns.cancelled"), 2);
+        // Unfinished cells render as error cells.
+        assert_eq!(error(&result(&c, queued, 1)), "cancelled by a drain");
+        // A cell finished after the drain still lands; the campaign stays
+        // cancelled and is counted once.
+        c.complete(w, g[0].unit, cell(3)).unwrap();
+        let s = status(&c, running, t0);
+        assert_eq!(state(&s), "cancelled");
+        assert_eq!((field(&s, "cells_done"), field(&s, "cells_failed")), (2, 1));
+        assert_eq!(
+            result(&c, running, 0),
+            rendered(&plan2().cells()[0], cell(3))
+        );
+        assert_eq!(registry.counter("serve.campaigns.cancelled"), 2);
+        assert_eq!(registry.counter("serve.campaigns.completed"), 0);
+    }
+
+    #[test]
+    fn unknown_campaign_is_none_and_an_empty_table_lists_as_empty() {
+        let c = coordinator(quick_cfg());
+        assert!(c.status_json(999, Instant::now()).is_none());
+        assert_eq!(c.list_json(Instant::now()), "[]");
+    }
+
+    #[test]
+    fn each_campaign_counts_one_terminal_transition() {
+        let (c, store) = stored_coordinator("counts", quick_cfg());
+        let registry = c.registry.clone();
+        let t0 = Instant::now();
+        let w = c.join("w", t0);
+        let id = c.submit(wire(), &plan2()).unwrap();
+        let list = c.list_json(t0);
+        assert_eq!(
+            list,
+            format!(
+                "[{{\"id\":{id},\"state\":\"queued\",\"cells_total\":2,\"cells_done\":0,\
+                 \"cells_failed\":0}}]"
+            )
+        );
+        for g in c.lease(w, 2, t0).unwrap() {
+            c.complete(w, g.unit, cell(1)).unwrap();
+        }
+        assert_eq!(registry.counter("serve.campaigns.completed"), 1);
+        // Every cell a store hit: complete on submit, never queued.
+        let again = c.submit(wire(), &plan2()).unwrap();
+        assert_eq!(state(&status(&c, again, t0)), "complete");
+        assert_eq!(c.queue_depth(), 0);
+        assert_eq!(registry.counter("serve.campaigns.submitted"), 2);
+        assert_eq!(registry.counter("serve.campaigns.completed"), 2);
+        assert_eq!(registry.counter("engine.store.cell_hits"), 2);
+        assert_eq!(registry.counter("engine.store.cell_misses"), 2);
+        assert_eq!(registry.counter("engine.store.cell_saves"), 2);
+        assert_eq!(registry.snapshot().gauges["store.cells"], 2);
+        let _ = std::fs::remove_dir_all(store.dir());
+    }
+
+    #[test]
+    fn the_lane_waits_for_submissions_backoffs_and_drains() {
+        let c = Arc::new(coordinator(quick_cfg()));
+        let waiter = {
+            let c = c.clone();
+            std::thread::spawn(move || c.wait_for_work())
+        };
+        std::thread::sleep(Duration::from_millis(30));
+        assert!(!waiter.is_finished(), "nothing to lease yet");
+        let id = c.submit(wire(), &plan1()).unwrap();
+        waiter.join().unwrap();
+
+        // A failed unit's backoff is waited out, not polled.
+        let w = c.join("lane", Instant::now());
+        let g = c.lease(w, usize::MAX, Instant::now()).unwrap();
+        let failed_at = Instant::now();
+        c.fail(w, g[0].unit, "engine error", failed_at).unwrap();
+        c.wait_for_work();
+        assert!(failed_at.elapsed() >= quick_cfg().retry_backoff);
+        assert_eq!(c.lease(w, usize::MAX, Instant::now()).unwrap().len(), 1);
+        assert_eq!(field(&status(&c, id, Instant::now()), "cells_done"), 0);
+
+        // A drain wakes a waiting lane.
+        let waiter = {
+            let c = c.clone();
+            std::thread::spawn(move || c.wait_for_work())
+        };
+        std::thread::sleep(Duration::from_millis(30));
+        assert!(!waiter.is_finished(), "the leased unit is not ready");
+        c.drain();
+        waiter.join().unwrap();
     }
 }

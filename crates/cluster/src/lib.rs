@@ -1,11 +1,16 @@
-//! `dvs-cluster` — distributed campaign execution for the experiment
-//! engine.
+//! `dvs-cluster` — campaign execution for the experiment engine, on one
+//! node or many.
 //!
 //! A **coordinator** decomposes a campaign ([`dvs_core::ExperimentPlan`]
 //! plus the result-relevant slice of [`dvs_core::EvalConfig`]) into
-//! cell-granular work units and hands them to registered **workers**
-//! over the dependency-free HTTP layer (`dvs-serve` exposes the
-//! endpoints; `dvs-serve --join <coordinator>` runs the worker loop).
+//! cell-granular work units and hands them to registered **workers**. It
+//! is the one campaign state machine: admission (a bounded queue), lease,
+//! completion, drain and status rendering live there, and every
+//! `dvs-serve` node runs one. A `--cluster` node serves its units to
+//! remote workers over the dependency-free HTTP layer (`dvs-serve --join
+//! <coordinator>` runs the worker loop); any other node runs them through
+//! its **in-process lane** ([`spawn_lane`]), the same worker loop by
+//! direct call.
 //!
 //! The protocol is lease-based and idempotent by construction:
 //!
@@ -28,10 +33,11 @@
 //! [`http::HttpConn`] and the keep-alive [`HttpClient`] share one
 //! hardened reader and its limits; it lives here because this is the
 //! lowest crate both `dvs-serve` and the worker reach), [`proto`] is
-//! the pure JSON wire vocabulary, [`coordinator`] is the lock-protected
-//! lease/retry/steal state machine (time is passed in, so every
-//! transition is unit-testable without sleeping), and [`worker`] is the
-//! pull-execute-push loop with its heartbeat thread. Everything
+//! the pure JSON wire vocabulary and the cell renderers, [`coordinator`]
+//! is the lock-protected admission/lease/retry/steal state machine (time
+//! is passed in, so every transition is unit-testable without sleeping),
+//! and [`worker`] is the pull-execute-push loop with its heartbeat
+//! thread, over HTTP or by direct call. Everything
 //! observable flows through `cluster.*` metrics on a shared
 //! [`dvs_obs::MetricsRegistry`].
 
@@ -43,7 +49,7 @@ pub mod http;
 pub mod proto;
 pub mod worker;
 
-pub use coordinator::{ClusterConfig, Coordinator};
+pub use coordinator::{ClusterConfig, Coordinator, SubmitError};
 pub use http::HttpClient;
 pub use proto::{UnitRef, WireConfig};
-pub use worker::{spawn_worker, WorkerConfig, WorkerHandle};
+pub use worker::{spawn_lane, spawn_worker, WorkerConfig, WorkerHandle};

@@ -1,4 +1,5 @@
-//! Pure JSON wire vocabulary of the cluster protocol.
+//! Pure JSON wire vocabulary of the cluster protocol and of campaign
+//! results.
 //!
 //! No sockets, no threads, no clocks — every shape here is a plain value
 //! with a `to_json` renderer and a fail-closed `from_json` parser (built
@@ -6,8 +7,16 @@
 //! worker sides are unit-testable offline. Result payloads travel as
 //! hex-encoded [`StoredCell::to_bytes`] images, whose trailing checksum
 //! makes wire corruption a decode failure instead of wrong data.
+//!
+//! The cell renderers ([`cell_json`], [`results_json`]) live here because
+//! the coordinator renders every finished cell of every campaign. They
+//! emit only integers from [`dvs_core::TrialMetrics`], which makes a
+//! campaign fetched over the wire byte-comparable to one rendered from a
+//! direct [`dvs_core::Evaluator::run_plan`] call.
 
-use dvs_core::{CellKey, EvalConfig, Scheme, StoredCell};
+use std::sync::Arc;
+
+use dvs_core::{CellKey, EvalConfig, EvalError, Scheme, SchemeRun, StoredCell};
 use dvs_obs::json::{json_escape, Value};
 use dvs_sram::{FaultModel, MilliVolts};
 use dvs_workloads::Benchmark;
@@ -192,6 +201,94 @@ pub fn cell_payload_from_hex(hex: &str) -> Option<StoredCell> {
     StoredCell::from_bytes(&hex_decode(hex)?)
 }
 
+/// Reconstructs a cell's engine-level result from its stored payload:
+/// zero surviving trials re-raises [`EvalError::AllLinksFailed`] (with
+/// the stored attempt count), anything else rebuilds the
+/// [`SchemeRun`]. The store query path and the coordinator's result
+/// renderer both go through here, so a cell fetched from any node renders
+/// byte-identically to one computed in-process.
+pub fn stored_cell_result(key: &CellKey, stored: StoredCell) -> Result<Arc<SchemeRun>, EvalError> {
+    if stored.trials.is_empty() {
+        Err(EvalError::AllLinksFailed {
+            benchmark: key.benchmark,
+            scheme: key.scheme,
+            vcc: key.vcc(),
+            attempts: stored.failed_links,
+        })
+    } else {
+        Ok(Arc::new(SchemeRun {
+            scheme: key.scheme,
+            point: key.point(),
+            benchmark: key.benchmark,
+            trials: stored.trials,
+            failed_links: stored.failed_links,
+        }))
+    }
+}
+
+/// Renders a cell that failed outside the engine (a unit whose retries
+/// were exhausted, or one a drain cancelled) in the same shape as
+/// [`cell_json`]'s error branch.
+pub fn cell_error_json(key: &CellKey, error: &str) -> String {
+    format!(
+        "{{\"benchmark\":\"{}\",\"scheme\":\"{}\",\"vcc_mv\":{},\
+         \"status\":\"error\",\"error\":\"{}\"}}",
+        json_escape(key.benchmark.name()),
+        json_escape(key.scheme.name()),
+        key.vcc().get(),
+        json_escape(error),
+    )
+}
+
+/// Renders one resolved cell as a JSON object.
+///
+/// All metric fields are integers straight from the trial records, so
+/// two renderings of the same underlying trials are byte-identical no
+/// matter which process (or how many threads) computed them.
+pub fn cell_json(key: &CellKey, result: &Result<Arc<SchemeRun>, EvalError>) -> String {
+    let run = match result {
+        Ok(run) => run,
+        Err(e) => return cell_error_json(key, &e.to_string()),
+    };
+    let mut out = format!(
+        "{{\"benchmark\":\"{}\",\"scheme\":\"{}\",\"vcc_mv\":{},\
+         \"status\":\"ok\",\"failed_links\":{},\"trials\":[",
+        json_escape(key.benchmark.name()),
+        json_escape(key.scheme.name()),
+        key.vcc().get(),
+        run.failed_links
+    );
+    for (i, t) in run.trials.iter().enumerate() {
+        if i > 0 {
+            out.push(',');
+        }
+        out.push_str(&format!(
+            "{{\"cycles\":{},\"instructions\":{},\"executed\":{},\
+             \"l1_accesses\":{},\"l2_accesses\":{}}}",
+            t.result.cycles,
+            t.counts.instructions,
+            t.counts.executed,
+            t.counts.l1_accesses,
+            t.counts.l2_accesses,
+        ));
+    }
+    out.push_str("]}");
+    out
+}
+
+/// Renders a whole campaign's results array in plan order.
+pub fn results_json(results: &[(CellKey, Result<Arc<SchemeRun>, EvalError>)]) -> String {
+    let mut out = String::from("[");
+    for (i, (key, result)) in results.iter().enumerate() {
+        if i > 0 {
+            out.push(',');
+        }
+        out.push_str(&cell_json(key, result));
+    }
+    out.push(']');
+    out
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -290,5 +387,20 @@ mod tests {
         let bad = String::from_utf8(bad).unwrap();
         assert_eq!(cell_payload_from_hex(&bad), None);
         assert_eq!(cell_payload_from_hex("nothex"), None);
+    }
+
+    #[test]
+    fn stored_cells_reconstruct_runs_and_link_failures() {
+        let key = CellKey::new(Benchmark::Crc32, Scheme::FfwBbr, MilliVolts::new(440));
+        let failed = StoredCell {
+            failed_links: 9,
+            trials: Vec::new(),
+        };
+        let err = stored_cell_result(&key, failed).unwrap_err();
+        assert!(matches!(err, EvalError::AllLinksFailed { attempts: 9, .. }));
+        let rendered = cell_json(&key, &Err(err));
+        assert!(rendered.contains("\"status\":\"error\""), "{rendered}");
+        assert!(rendered.contains("(9 attempts)"), "{rendered}");
+        assert!(Value::parse(&rendered).is_ok(), "{rendered}");
     }
 }

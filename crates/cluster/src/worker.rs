@@ -1,22 +1,26 @@
-//! The worker: a pull–execute–push loop plus a heartbeat thread.
+//! The worker: a pull–execute–push loop plus a heartbeat thread, over
+//! HTTP to a remote coordinator or by direct call to the node's own.
 //!
 //! A worker joins a coordinator, leases cell-granular units, reassembles
 //! them into partial [`ExperimentPlan`]s that [`Evaluator::run_plan`]
 //! executes bit-identically to a single-node run, and pushes the
 //! resulting [`StoredCell`] images back. While the (possibly long)
 //! evaluation runs, a separate heartbeat thread renews the worker's
-//! leases over its own connection; if the process is SIGKILLed both
-//! threads die, heartbeats stop, and the coordinator requeues the units
-//! — no cleanup path needs to run on the dying node.
+//! leases; if the process is SIGKILLed both threads die, heartbeats stop,
+//! and the coordinator requeues the units — no cleanup path needs to run
+//! on the dying node.
 //!
-//! When idle, the worker tails the coordinator's sync log into its local
-//! [`ResultStore`], so after a campaign converges *any* node can answer
-//! point queries for the whole campaign from local disk.
+//! A remote worker ([`spawn_worker`]) talks HTTP and, when idle, tails
+//! the coordinator's sync log into its local [`ResultStore`], so after a
+//! campaign converges *any* node can answer point queries for the whole
+//! campaign from local disk. The in-process lane ([`spawn_lane`]) is the
+//! same loop by direct call: it is how a node without `--cluster` runs
+//! its campaigns.
 
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Mutex};
 use std::thread::JoinHandle;
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 use dvs_core::{
     CancelToken, CellKey, EvalConfig, EvalError, Evaluator, ExperimentPlan, ResultStore, StoreKey,
@@ -27,7 +31,8 @@ use dvs_obs::json::{json_escape, Value};
 use dvs_obs::{MetricsRegistry, Recorder};
 use dvs_sram::CacheGeometry;
 
-use crate::http::{HttpClient, Reply, RequestError, DEFAULT_MAX_BODY_BYTES};
+use crate::coordinator::Coordinator;
+use crate::http::{HttpClient, Reply, RequestError};
 use crate::proto::{
     cell_from_json, cell_payload_from_hex, cell_payload_to_hex, UnitRef, WireConfig,
 };
@@ -104,23 +109,35 @@ pub fn spawn_worker(cfg: WorkerConfig, registry: Arc<MetricsRegistry>) -> Worker
     let hb = {
         let stop = stop.clone();
         let worker_id = worker_id.clone();
-        let addr = cfg.coordinator.clone();
+        let mut client = HttpClient::new(cfg.coordinator.clone(), cfg.timeout);
         let period = cfg.heartbeat;
-        let timeout = cfg.timeout;
-        std::thread::spawn(move || heartbeat_loop(&addr, timeout, period, &stop, &worker_id))
+        std::thread::spawn(move || {
+            heartbeat_loop(period, &stop, &worker_id, |id| {
+                let body = format!("{{\"worker\":{id}}}");
+                // Only a refusal means the coordinator no longer knows
+                // us; a transport error is retried at the next beat.
+                !matches!(call(&mut client, "POST", "/v1/cluster/heartbeat", &body),
+                    Ok(reply) if !(200..300).contains(&reply.status))
+            });
+        })
     };
     let main = {
         let stop = stop.clone();
-        let cancel = cancel.clone();
+        let engine = Engine {
+            base: cfg.base,
+            store: Some(cfg.store.clone()),
+            cancel: cancel.clone(),
+            registry: registry.clone(),
+            eval: None,
+        };
         std::thread::spawn(move || {
             let mut rt = Runtime {
                 client: HttpClient::new(cfg.coordinator.clone(), cfg.timeout),
                 cfg,
                 registry,
                 stop,
-                cancel,
                 worker_id,
-                eval: None,
+                engine,
                 sync_seq: 0,
             };
             rt.run();
@@ -166,28 +183,165 @@ fn pause(stop: &AtomicBool, total: Duration) {
     }
 }
 
+/// Renews the worker's registration (and with it every lease it holds)
+/// every `period` until `stop`. `beat` sends one heartbeat and returns
+/// false when the coordinator no longer knows the id (e.g. a long stall
+/// outlived the TTL), which forces the main loop to rejoin.
 fn heartbeat_loop(
-    addr: &str,
-    timeout: Duration,
     period: Duration,
     stop: &AtomicBool,
     worker_id: &Mutex<Option<u64>>,
+    mut beat: impl FnMut(u64) -> bool,
 ) {
-    let mut client = HttpClient::new(addr, timeout);
     while !stop.load(Ordering::Relaxed) {
         let id = *worker_id.lock().expect("worker id lock");
-        if let Some(id) = id {
-            let body = format!("{{\"worker\":{id}}}");
-            match call(&mut client, "POST", "/v1/cluster/heartbeat", &body) {
-                // The coordinator no longer knows us (e.g. a long GC-like
-                // stall outlived the TTL): force the main loop to rejoin.
-                Ok(reply) if !(200..300).contains(&reply.status) => {
-                    *worker_id.lock().expect("worker id lock") = None;
-                }
-                _ => {}
+        if let Some(id) = id.filter(|&id| !beat(id)) {
+            let mut slot = worker_id.lock().expect("worker id lock");
+            if *slot == Some(id) {
+                *slot = None;
             }
         }
         pause(stop, period);
+    }
+}
+
+/// What a leased unit's evaluation reports to the coordinator.
+enum Report {
+    Complete(StoredCell),
+    Fail(String),
+}
+
+/// The engine behind a worker or a lane: one evaluator per wire config.
+/// Campaigns almost always share one config, so one slot of reuse is
+/// enough to keep benchmark artifacts and memory-cached cells warm.
+struct Engine {
+    base: EvalConfig,
+    store: Option<ResultStore>,
+    cancel: CancelToken,
+    registry: Arc<MetricsRegistry>,
+    eval: Option<(WireConfig, Evaluator)>,
+}
+
+impl Engine {
+    fn evaluator_for(&mut self, wire: WireConfig) -> &mut Evaluator {
+        if !matches!(&self.eval, Some((w, _)) if *w == wire) {
+            let mut eval = Evaluator::new(wire.apply(&self.base))
+                .with_cancel_token(self.cancel.clone())
+                .with_recorder(self.registry.clone() as Arc<dyn Recorder>);
+            if let Some(store) = &self.store {
+                eval = eval.with_store(store.clone());
+            }
+            self.eval = Some((wire, eval));
+        }
+        &mut self.eval.as_mut().expect("evaluator just ensured").1
+    }
+
+    /// Runs leased units as one plan per wire config and maps each
+    /// cell's outcome. All links failing is a *result* (the store encodes
+    /// it as zero surviving trials), not a retryable error; a cancelled
+    /// cell reports nothing (its lease expires, or a drain has settled
+    /// it); any other error fails the unit.
+    fn run(&mut self, units: &[(UnitRef, CellKey, WireConfig)]) -> Vec<(UnitRef, Report)> {
+        let mut wires: Vec<WireConfig> = Vec::new();
+        for (_, _, wire) in units {
+            if !wires.contains(wire) {
+                wires.push(*wire);
+            }
+        }
+        let mut reports = Vec::with_capacity(units.len());
+        for wire in wires {
+            let members: Vec<(UnitRef, CellKey)> = units
+                .iter()
+                .filter(|u| u.2 == wire)
+                .map(|&(unit, key, _)| (unit, key))
+                .collect();
+            let plan = ExperimentPlan::for_cells(members.iter().map(|(_, k)| *k));
+            let results = self.evaluator_for(wire).run_plan(&plan);
+            for (unit, key) in members {
+                let outcome = results
+                    .iter()
+                    .find(|(k, _)| *k == key)
+                    .map(|(_, r)| r)
+                    .expect("run_plan returns every planned cell");
+                let report = match outcome {
+                    Ok(run) => Report::Complete(StoredCell {
+                        failed_links: run.failed_links,
+                        trials: run.trials.clone(),
+                    }),
+                    Err(EvalError::AllLinksFailed { attempts, .. }) => {
+                        Report::Complete(StoredCell {
+                            failed_links: *attempts,
+                            trials: Vec::new(),
+                        })
+                    }
+                    Err(EvalError::Cancelled { .. }) => continue,
+                    Err(e) => Report::Fail(e.to_string()),
+                };
+                reports.push((unit, report));
+            }
+        }
+        reports
+    }
+}
+
+/// Starts a node's in-process lane: the worker loop without HTTP. It
+/// waits on the coordinator for work (never polling), leases every ready
+/// unit of the oldest campaign by direct call, and runs them as one plan
+/// at the node's engine threads. Its evaluator has no store: the
+/// coordinator resolves store hits at submit and persists each computed
+/// cell in `complete`. Its heartbeat renews its registration and leases
+/// by direct call, so a cell that outlasts the lease TTL is never
+/// requeued. The lane ends when the coordinator drains; the cells its
+/// last plan finished are still completed, so they stay persisted.
+pub fn spawn_lane(coordinator: Arc<Coordinator>, registry: Arc<MetricsRegistry>) -> WorkerHandle {
+    let stop = Arc::new(AtomicBool::new(false));
+    let cancel = coordinator.cancel_token();
+    let worker_id = Arc::new(Mutex::new(None));
+    let hb = {
+        let (stop, worker_id, coordinator) = (stop.clone(), worker_id.clone(), coordinator.clone());
+        let period = (coordinator.cfg().lease_ttl / 5).max(Duration::from_millis(1));
+        std::thread::spawn(move || {
+            heartbeat_loop(period, &stop, &worker_id, |id| {
+                coordinator.heartbeat(id, Instant::now()).is_ok()
+            });
+        })
+    };
+    let main = {
+        let mut engine = Engine {
+            base: *coordinator.base(),
+            store: None,
+            cancel: cancel.clone(),
+            registry,
+            eval: None,
+        };
+        std::thread::spawn(move || loop {
+            coordinator.wait_for_work();
+            if coordinator.draining() {
+                return;
+            }
+            let id = *worker_id
+                .lock()
+                .expect("worker id lock")
+                .get_or_insert_with(|| coordinator.join("lane", Instant::now()));
+            let Ok(grants) = coordinator.lease(id, usize::MAX, Instant::now()) else {
+                *worker_id.lock().expect("worker id lock") = None; // expired: rejoin
+                continue;
+            };
+            let units: Vec<_> = grants.iter().map(|g| (g.unit, g.key, g.wire)).collect();
+            for (unit, report) in engine.run(&units) {
+                // A unit the coordinator no longer knows cannot occur: it
+                // never forgets a campaign.
+                let _ = match report {
+                    Report::Complete(cell) => coordinator.complete(id, unit, cell),
+                    Report::Fail(error) => coordinator.fail(id, unit, &error, Instant::now()),
+                };
+            }
+        })
+    };
+    WorkerHandle {
+        stop,
+        cancel,
+        threads: vec![main, hb],
     }
 }
 
@@ -196,12 +350,8 @@ struct Runtime {
     registry: Arc<MetricsRegistry>,
     client: HttpClient,
     stop: Arc<AtomicBool>,
-    cancel: CancelToken,
     worker_id: Arc<Mutex<Option<u64>>>,
-    /// The most recent (wire config, evaluator) pair; campaigns almost
-    /// always share one config, so one slot of reuse is enough to keep
-    /// benchmark artifacts and memory-cached cells warm.
-    eval: Option<(WireConfig, Evaluator)>,
+    engine: Engine,
     sync_seq: u64,
 }
 
@@ -212,7 +362,7 @@ impl Runtime {
                 break; // stop requested while joining
             };
             match self.lease(id) {
-                LeaseOutcome::Units(units) => self.execute(id, units),
+                LeaseOutcome::Units(units) => self.execute(id, &units),
                 LeaseOutcome::Idle => {
                     self.sync_pull();
                     pause(&self.stop, self.cfg.idle_poll);
@@ -273,66 +423,18 @@ impl Runtime {
         }
     }
 
-    /// Executes leased units grouped by wire config and reports each
-    /// cell's outcome.
-    fn execute(&mut self, id: u64, units: Vec<(UnitRef, CellKey, WireConfig)>) {
-        let mut groups: Vec<(WireConfig, Vec<(UnitRef, CellKey)>)> = Vec::new();
-        for (unit, key, wire) in units {
-            match groups.iter_mut().find(|(w, _)| *w == wire) {
-                Some((_, members)) => members.push((unit, key)),
-                None => groups.push((wire, vec![(unit, key)])),
+    /// Executes leased units and reports each cell's outcome.
+    fn execute(&mut self, id: u64, units: &[(UnitRef, CellKey, WireConfig)]) {
+        let reports = self.engine.run(units);
+        if self.stop.load(Ordering::Relaxed) {
+            return; // cancelled mid-plan: let the leases expire
+        }
+        for (unit, report) in reports {
+            match report {
+                Report::Complete(cell) => self.push_complete(id, unit, &cell),
+                Report::Fail(error) => self.push_fail(id, unit, &error),
             }
         }
-        for (wire, members) in groups {
-            if self.stop.load(Ordering::Relaxed) {
-                return;
-            }
-            let plan = ExperimentPlan::for_cells(members.iter().map(|(_, k)| *k));
-            let results = self.evaluator_for(wire).run_plan(&plan);
-            if self.stop.load(Ordering::Relaxed) {
-                return; // cancelled mid-plan: let the leases expire
-            }
-            for (unit, key) in members {
-                let outcome = results
-                    .iter()
-                    .find(|(k, _)| *k == key)
-                    .map(|(_, r)| r)
-                    .expect("run_plan returns every planned cell");
-                match outcome {
-                    Ok(run) => self.push_complete(
-                        id,
-                        unit,
-                        &StoredCell {
-                            failed_links: run.failed_links,
-                            trials: run.trials.clone(),
-                        },
-                    ),
-                    // All links failing is a *result* (the store encodes
-                    // it as zero surviving trials), not a retryable error.
-                    Err(EvalError::AllLinksFailed { attempts, .. }) => self.push_complete(
-                        id,
-                        unit,
-                        &StoredCell {
-                            failed_links: *attempts,
-                            trials: Vec::new(),
-                        },
-                    ),
-                    Err(e) => self.push_fail(id, unit, &e.to_string()),
-                }
-            }
-        }
-    }
-
-    fn evaluator_for(&mut self, wire: WireConfig) -> &mut Evaluator {
-        let rebuild = !matches!(&self.eval, Some((w, _)) if *w == wire);
-        if rebuild {
-            let eval = Evaluator::new(wire.apply(&self.cfg.base))
-                .with_store(self.cfg.store.clone())
-                .with_cancel_token(self.cancel.clone())
-                .with_recorder(self.registry.clone() as Arc<dyn Recorder>);
-            self.eval = Some((wire, eval));
-        }
-        &mut self.eval.as_mut().expect("evaluator just ensured").1
     }
 
     fn push_complete(&mut self, id: u64, unit: UnitRef, cell: &StoredCell) {
@@ -369,12 +471,7 @@ impl Runtime {
         if self.stop.load(Ordering::Relaxed) {
             return; // stopping: let the lease expire
         }
-        let mut reason = format!("cell result of {} bytes not delivered ({last})", body.len());
-        if body.len() > DEFAULT_MAX_BODY_BYTES {
-            reason += &format!(
-                "; it exceeds the default request-body limit of {DEFAULT_MAX_BODY_BYTES} bytes"
-            );
-        }
+        let reason = format!("cell result of {} bytes not delivered ({last})", body.len());
         self.push_fail(id, unit, &reason);
     }
 
@@ -476,7 +573,7 @@ fn parse_sync_entry(v: &Value) -> Option<(u64, WireConfig, CellKey, StoredCell)>
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::http::{HttpConn, Response};
+    use crate::http::{HttpConn, Response, DEFAULT_MAX_BODY_BYTES};
     use crate::proto::cell_to_json;
     use dvs_core::Scheme;
     use dvs_sram::MilliVolts;

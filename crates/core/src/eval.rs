@@ -43,8 +43,9 @@ use crate::{DvfsPoint, Scheme};
 /// # Parallelism policy
 ///
 /// `threads` sizes the worker pool of **one** `run_plan` drain. A process
-/// running N evaluators concurrently (e.g. the `dvs-serve` campaign
-/// executors) would otherwise commit N × `threads` workers; setting
+/// running N evaluators concurrently (e.g. a `dvs-serve --join` node's
+/// lane beside its cluster worker) would otherwise commit N × `threads`
+/// workers; setting
 /// `max_parallel_trials` bounds the trials *actually executing at any
 /// instant across the whole process*, whatever the number of evaluators.
 /// Each worker reserves a slot on a process-wide gate before claiming a
@@ -764,16 +765,8 @@ impl Evaluator {
         if let Some(rec) = &self.recorder {
             tally.export(rec.as_ref());
         }
-        // Export the store's accounting. Gauges, not counters: the values
-        // depend on disk history (prior runs, crashes, peer processes),
-        // which belongs in the volatile section of a snapshot.
         if let (Some(rec), Some(store)) = (&self.recorder, &self.store) {
-            let s = store.stats();
-            rec.gauge("store.bytes", s.bytes);
-            rec.gauge("store.cells", s.cells as u64);
-            rec.gauge("store.evictions", s.evictions);
-            rec.gauge("store.collisions", s.collisions);
-            rec.gauge("store.tmp_swept", s.tmp_swept);
+            store.stats().export(rec.as_ref());
         }
         let results = plan.cells().iter().map(|&k| (k, self.lookup(&k))).collect();
         // Cancelled cells are reported but never cached: a later run_plan

@@ -45,6 +45,7 @@ use serde::bin::{Deserializer, Serializer};
 use serde::{Deserialize, Serialize};
 
 use dvs_cpu::CoreConfig;
+use dvs_obs::Recorder;
 use dvs_sram::{CacheGeometry, FaultModel};
 use dvs_workloads::Benchmark;
 
@@ -218,6 +219,20 @@ pub struct StoreStats {
     pub tmp_swept: u64,
 }
 
+impl StoreStats {
+    /// Exports the accounting as the `store.{bytes,cells,evictions,
+    /// collisions,tmp_swept}` gauges. Gauges, not counters: the values
+    /// depend on disk history (prior runs, crashes, peer processes),
+    /// which belongs in the volatile section of a snapshot.
+    pub fn export(&self, rec: &dyn Recorder) {
+        rec.gauge("store.bytes", self.bytes);
+        rec.gauge("store.cells", self.cells as u64);
+        rec.gauge("store.evictions", self.evictions);
+        rec.gauge("store.collisions", self.collisions);
+        rec.gauge("store.tmp_swept", self.tmp_swept);
+    }
+}
+
 /// Outcome of a structural [`ResultStore::audit`] over every cell file.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct StoreAudit {
@@ -238,8 +253,8 @@ struct IndexEntry {
 }
 
 /// Shared mutable state of one store: every clone of a [`ResultStore`]
-/// (the server, its executors, the cluster roles) sees one index, one
-/// byte total and one set of counters.
+/// (a node's coordinator, its cluster worker, the evaluators) sees one
+/// index, one byte total and one set of counters.
 #[derive(Debug, Default)]
 struct Inner {
     entries: Vec<IndexEntry>,

@@ -1,17 +1,16 @@
 //! JSON ↔ engine translation: campaign specs in, results out.
 //!
 //! This module is pure — no sockets, no threads — so the request and
-//! response shapes are unit-testable without a server. Result rendering
-//! emits only integers from [`dvs_core::TrialMetrics`], which makes a
-//! campaign fetched over the wire byte-comparable to one rendered from a
-//! direct [`dvs_core::Evaluator::run_plan`] call.
+//! response shapes are unit-testable without a server. The cell
+//! renderers are the coordinator's ([`dvs_cluster::proto`]), re-exported
+//! here for clients that render results themselves.
 
-use std::sync::Arc;
-
-use dvs_core::{CellKey, EvalConfig, EvalError, Evaluator, ExperimentPlan, Scheme, SchemeRun};
+use dvs_core::{EvalConfig, Evaluator, ExperimentPlan, Scheme};
 use dvs_obs::json::{json_escape, Value};
 use dvs_sram::{FaultModel, MilliVolts};
 use dvs_workloads::Benchmark;
+
+pub use dvs_cluster::proto::{cell_error_json, cell_json, results_json, stored_cell_result};
 
 /// Hard cap on cells per campaign: a grid bigger than this is a typo or
 /// an attack, not an experiment.
@@ -187,48 +186,6 @@ fn integer_in(v: &Value, what: &str, lo: u64, hi: u64) -> Result<u64, String> {
     Ok(n)
 }
 
-/// Reconstructs a cell's engine-level result from its stored payload:
-/// zero surviving trials re-raises [`EvalError::AllLinksFailed`] (with
-/// the stored attempt count), anything else rebuilds the
-/// [`SchemeRun`]. Both the store query path and the cluster result
-/// renderer go through here, so a cell fetched from any node renders
-/// byte-identically to one computed in-process.
-pub fn stored_cell_result(
-    key: &CellKey,
-    stored: dvs_core::StoredCell,
-) -> Result<Arc<SchemeRun>, EvalError> {
-    if stored.trials.is_empty() {
-        Err(EvalError::AllLinksFailed {
-            benchmark: key.benchmark,
-            scheme: key.scheme,
-            vcc: key.vcc(),
-            attempts: stored.failed_links,
-        })
-    } else {
-        Ok(Arc::new(SchemeRun {
-            scheme: key.scheme,
-            point: key.point(),
-            benchmark: key.benchmark,
-            trials: stored.trials,
-            failed_links: stored.failed_links,
-        }))
-    }
-}
-
-/// Renders a cell that failed outside the engine (e.g. a cluster unit
-/// whose retries were exhausted) in the same shape as
-/// [`cell_json`]'s error branch.
-pub fn cell_error_json(key: &CellKey, error: &str) -> String {
-    format!(
-        "{{\"benchmark\":\"{}\",\"scheme\":\"{}\",\"vcc_mv\":{},\
-         \"status\":\"error\",\"error\":\"{}\"}}",
-        json_escape(key.benchmark.name()),
-        json_escape(key.scheme.name()),
-        key.vcc().get(),
-        json_escape(error),
-    )
-}
-
 /// Renders the `GET /v1/healthz` body: liveness plus enough shape
 /// (version, role, uptime, queue depth) for a probe to tell nodes
 /// apart without hitting `/v1/metrics`.
@@ -245,63 +202,6 @@ pub fn healthz_json(
         json_escape(version),
         json_escape(role),
     )
-}
-
-/// Renders one resolved cell as a JSON object.
-///
-/// All metric fields are integers straight from the trial records, so
-/// two renderings of the same underlying trials are byte-identical no
-/// matter which process (or how many threads) computed them.
-pub fn cell_json(key: &CellKey, result: &Result<Arc<SchemeRun>, EvalError>) -> String {
-    let mut out = format!(
-        "{{\"benchmark\":\"{}\",\"scheme\":\"{}\",\"vcc_mv\":{}",
-        json_escape(key.benchmark.name()),
-        json_escape(key.scheme.name()),
-        key.vcc().get(),
-    );
-    match result {
-        Ok(run) => {
-            out.push_str(&format!(
-                ",\"status\":\"ok\",\"failed_links\":{},\"trials\":[",
-                run.failed_links
-            ));
-            for (i, t) in run.trials.iter().enumerate() {
-                if i > 0 {
-                    out.push(',');
-                }
-                out.push_str(&format!(
-                    "{{\"cycles\":{},\"instructions\":{},\"executed\":{},\
-                     \"l1_accesses\":{},\"l2_accesses\":{}}}",
-                    t.result.cycles,
-                    t.counts.instructions,
-                    t.counts.executed,
-                    t.counts.l1_accesses,
-                    t.counts.l2_accesses,
-                ));
-            }
-            out.push(']');
-        }
-        Err(e) => {
-            out.push_str(&format!(",\"status\":\"error\",\"error\":\"{}\"", {
-                json_escape(&e.to_string())
-            }));
-        }
-    }
-    out.push('}');
-    out
-}
-
-/// Renders a whole campaign's results array in plan order.
-pub fn results_json(results: &[(CellKey, Result<Arc<SchemeRun>, EvalError>)]) -> String {
-    let mut out = String::from("[");
-    for (i, (key, result)) in results.iter().enumerate() {
-        if i > 0 {
-            out.push(',');
-        }
-        out.push_str(&cell_json(key, result));
-    }
-    out.push(']');
-    out
 }
 
 /// Runs `spec` directly through a fresh [`Evaluator`] and renders the
@@ -414,22 +314,6 @@ mod tests {
         assert_eq!(v.get("uptime_ms").and_then(Value::as_f64), Some(12345.0));
         assert_eq!(v.get("queue_depth").and_then(Value::as_f64), Some(3.0));
         assert!(matches!(v.get("draining"), Some(Value::Bool(false))));
-    }
-
-    #[test]
-    fn stored_cells_reconstruct_runs_and_link_failures() {
-        let key = CellKey::new(Benchmark::Crc32, Scheme::FfwBbr, MilliVolts::new(440));
-        let failed = dvs_core::StoredCell {
-            failed_links: 9,
-            trials: Vec::new(),
-        };
-        let err = stored_cell_result(&key, failed).unwrap_err();
-        assert!(matches!(err, EvalError::AllLinksFailed { attempts: 9, .. }));
-        // The error branch renders identically through both paths.
-        assert_eq!(
-            cell_json(&key, &Err(err.clone())),
-            cell_error_json(&key, &err.to_string())
-        );
     }
 
     #[test]

@@ -1,16 +1,17 @@
 //! `dvs-serve` — the campaign server daemon.
 //!
 //! Binds a TCP listener (port 0 picks an ephemeral port and prints it),
-//! starts the campaign executors over a shared result store, and serves
+//! starts the node's coordinator over a shared result store, and serves
 //! the JSON API until `POST /v1/admin/shutdown` drains it. The first
 //! stdout line is always `dvs-serve listening on http://ADDR`, flushed
 //! before any request is served, so scripts can scrape the bound port.
 //!
-//! Cluster roles: `--cluster` turns the node into a coordinator
-//! (campaigns shard into leased work units for joined workers);
-//! `--join ADDR` runs the worker loop against a coordinator while still
-//! serving the local API (so any node answers `/v1/results` once its
-//! store has synced).
+//! Every node tracks its campaigns in a coordinator. Without `--cluster`
+//! an in-process lane runs them; `--cluster` leaves them to joined
+//! workers instead (campaigns shard into leased work units); `--join
+//! ADDR` runs the worker loop against a coordinator while still serving
+//! the local API (so any node answers `/v1/results` once its store has
+//! synced).
 
 use std::io::Write;
 use std::process::ExitCode;
@@ -18,18 +19,16 @@ use std::sync::Arc;
 use std::time::Duration;
 
 use dvs_cluster::{spawn_worker, ClusterConfig, Coordinator, WorkerConfig};
-use dvs_core::ResultStore;
+use dvs_core::{EvalConfig, ResultStore};
 use dvs_obs::MetricsRegistry;
-use dvs_serve::jobs::{JobConfig, JobManager};
-use dvs_serve::{Server, ServerConfig};
+use dvs_serve::{Role, Server, ServerConfig};
 
 const USAGE: &str = "usage: dvs-serve [options]
   --listen ADDR            bind address (default 127.0.0.1:7570; port 0 = ephemeral)
   --threads N              HTTP worker threads (default 4)
-  --executors N            concurrent campaign executors (default 1)
   --engine-threads N       worker threads per campaign (default: EvalConfig::standard)
   --max-parallel-trials N  process-wide cap on concurrently executing trials
-  --queue-depth N          campaigns that may wait in the queue (default 8)
+  --queue-depth N          campaigns that may wait for their first lease (default 8)
   --max-conns N            connections admitted at once (default 256)
   --store DIR              result-store directory (default: the store's default dir)
   --store-max-bytes N      cap the store's on-disk size; coldest cells evict first
@@ -39,7 +38,7 @@ const USAGE: &str = "usage: dvs-serve [options]
   --seed N                 default root seed
   --timeout-ms N           per-connection read/write timeout (default 10000)
 cluster mode:
-  --cluster                coordinate a worker fleet (campaigns shard into cells)
+  --cluster                coordinate a worker fleet (campaigns shard into cells; needs a store)
   --join ADDR              run as a worker of the coordinator at ADDR (needs a store)
   --worker-name NAME       name this worker reports (default worker-<pid>)
   --lease-ttl-ms N         coordinator: lease/worker TTL (default 5000)
@@ -53,7 +52,7 @@ cluster mode:
 struct Options {
     listen: String,
     server: ServerConfig,
-    jobs: JobConfig,
+    base: EvalConfig,
     store_dir: Option<String>,
     no_store: bool,
     cluster: bool,
@@ -68,7 +67,7 @@ impl Default for Options {
         Options {
             listen: "127.0.0.1:7570".to_string(),
             server: ServerConfig::default(),
-            jobs: JobConfig::default(),
+            base: EvalConfig::standard(),
             store_dir: None,
             no_store: false,
             cluster: false,
@@ -93,35 +92,31 @@ fn parse(mut args: impl Iterator<Item = String>) -> Result<Option<Options>, Stri
             "--threads" => {
                 opts.server.http_threads = int("--threads", value("--threads")?)? as usize;
             }
-            "--executors" => {
-                opts.jobs.executors = int("--executors", value("--executors")?)? as usize;
-            }
             "--engine-threads" => {
-                opts.jobs.base.threads =
-                    int("--engine-threads", value("--engine-threads")?)? as usize;
+                opts.base.threads = int("--engine-threads", value("--engine-threads")?)? as usize;
             }
             "--max-parallel-trials" => {
-                opts.jobs.base.max_parallel_trials =
+                opts.base.max_parallel_trials =
                     Some(int("--max-parallel-trials", value("--max-parallel-trials")?)? as usize);
             }
             "--queue-depth" => {
-                opts.jobs.queue_depth = int("--queue-depth", value("--queue-depth")?)? as usize;
+                opts.cluster_cfg.queue_depth =
+                    int("--queue-depth", value("--queue-depth")?)? as usize;
             }
             "--max-conns" => {
                 opts.server.max_conns = int("--max-conns", value("--max-conns")?)? as usize;
             }
             "--store" => opts.store_dir = Some(value("--store")?),
             "--store-max-bytes" => {
-                opts.jobs.base.store_max_bytes =
+                opts.base.store_max_bytes =
                     Some(int("--store-max-bytes", value("--store-max-bytes")?)?);
             }
             "--no-store" => opts.no_store = true,
-            "--maps" => opts.jobs.base.maps = int("--maps", value("--maps")?)?,
+            "--maps" => opts.base.maps = int("--maps", value("--maps")?)?,
             "--trace-instrs" => {
-                opts.jobs.base.trace_instrs =
-                    int("--trace-instrs", value("--trace-instrs")?)? as usize;
+                opts.base.trace_instrs = int("--trace-instrs", value("--trace-instrs")?)? as usize;
             }
-            "--seed" => opts.jobs.base.seed = int("--seed", value("--seed")?)?,
+            "--seed" => opts.base.seed = int("--seed", value("--seed")?)?,
             "--timeout-ms" => {
                 let ms = int("--timeout-ms", value("--timeout-ms")?)?;
                 opts.server.read_timeout = Duration::from_millis(ms);
@@ -167,6 +162,9 @@ fn parse(mut args: impl Iterator<Item = String>) -> Result<Option<Options>, Stri
     if opts.join.is_some() && opts.no_store {
         return Err("--join needs a result store (drop --no-store)".to_string());
     }
+    if opts.cluster && opts.no_store {
+        return Err("--cluster needs a result store (drop --no-store)".to_string());
+    }
     Ok(Some(opts))
 }
 
@@ -181,30 +179,36 @@ fn run(opts: Options) -> Result<(), String> {
         .map_err(|e| format!("cannot open result store: {e}"))?;
         // The evaluators also apply the cap via `EvalConfig`, but setting
         // it here bounds the store even before any campaign runs.
-        store.set_max_bytes(opts.jobs.base.store_max_bytes);
+        store.set_max_bytes(opts.base.store_max_bytes);
         Some(store)
     };
 
     let registry = Arc::new(MetricsRegistry::new());
-    let base = opts.jobs.base;
-    let jobs = JobManager::start(opts.jobs, store.clone(), registry.clone());
-    let server = Server::bind(opts.listen.as_str(), opts.server, jobs, registry.clone())
-        .map_err(|e| format!("cannot bind {}: {e}", opts.listen))?;
+    let coordinator = Arc::new(Coordinator::new(
+        opts.cluster_cfg,
+        opts.base,
+        store.clone(),
+        registry.clone(),
+    ));
+    let role = match (opts.cluster, &opts.join) {
+        (true, _) => Role::Coordinator,
+        (false, Some(_)) => Role::Worker,
+        (false, None) => Role::Single,
+    };
+    let server = Server::bind(
+        opts.listen.as_str(),
+        opts.server,
+        role,
+        coordinator,
+        registry.clone(),
+    )
+    .map_err(|e| format!("cannot bind {}: {e}", opts.listen))?;
 
-    if opts.cluster {
-        server.enable_coordinator(Arc::new(Coordinator::new(
-            opts.cluster_cfg,
-            base,
-            store.clone(),
-            registry.clone(),
-        )));
-    }
     let worker = match &opts.join {
         Some(coordinator) => {
-            server.set_role("worker");
             let mut cfg = WorkerConfig::new(
                 coordinator.clone(),
-                base,
+                opts.base,
                 store.clone().expect("--join requires a store"),
             );
             if let Some(name) = &opts.worker_name {

@@ -6,7 +6,7 @@
 //!
 //! | Route | Purpose |
 //! |---|---|
-//! | `POST /v1/campaigns` | submit an experiment grid to the bounded job queue |
+//! | `POST /v1/campaigns` | submit an experiment grid; `429` past the bounded queue |
 //! | `GET /v1/campaigns` | list campaigns and their states |
 //! | `GET /v1/campaigns/{id}` | poll one campaign's status/progress/results |
 //! | `GET /v1/results?...` | point query answered straight from the [`dvs_core::ResultStore`] |
@@ -18,15 +18,17 @@
 //! (framing, limits, timeouts) is [`dvs_cluster::http`], the one HTTP/1.1
 //! codec the server, the cluster worker and `dvs-loadgen` share (it sits
 //! in `dvs-cluster`, the lowest crate both sides reach); [`api`] is pure
-//! JSON ↔ engine translation, [`jobs`] owns the bounded campaign queue
-//! and executor threads over [`dvs_core::Evaluator`], and [`server`]
-//! wires accept loop, routing, and graceful shutdown together.
-//! Everything observable flows through `serve.*` metrics on a shared
-//! [`dvs_obs::MetricsRegistry`].
+//! JSON ↔ engine translation; and [`server`] wires accept loop, routing,
+//! and graceful shutdown together. The campaigns themselves belong to a
+//! [`dvs_cluster::Coordinator`], the one campaign state machine: every
+//! node runs one, and a node that does not coordinate a cluster runs its
+//! campaigns through an in-process lane ([`dvs_cluster::spawn_lane`]) that
+//! leases and completes them by direct call, so bounded admission, drain,
+//! status and results take one path for zero or N workers.
+//! Everything observable flows through `serve.*` and `cluster.*` metrics
+//! on a shared [`dvs_obs::MetricsRegistry`].
 
 pub mod api;
-pub mod jobs;
 pub mod server;
 
-pub use jobs::{JobManager, SubmitError};
-pub use server::{Server, ServerConfig};
+pub use server::{Role, Server, ServerConfig};

@@ -2,31 +2,35 @@
 //!
 //! The accept thread pushes connections onto a shared queue drained by
 //! `http_threads` workers; a connection cap turns excess peers away
-//! with `503` before they consume a worker. Shutdown is graceful by
-//! construction: `POST /v1/admin/shutdown` answers first, then stops
-//! the accept loop, lets the workers finish their current requests,
-//! drains the job queue (in-flight trials stop at the next boundary,
+//! with `503` before they consume a worker. Every campaign route goes to
+//! the node's one [`Coordinator`]; unless the node coordinates a cluster,
+//! its in-process lane ([`spawn_lane`]) runs the campaigns. Shutdown is
+//! graceful by construction: `POST /v1/admin/shutdown` answers first,
+//! then stops the accept loop, lets the workers finish their current
+//! requests, drains the coordinator (unfinished campaigns are cancelled;
+//! the lane's in-flight trials stop at the next boundary and its
 //! completed cells stay persisted), and [`Server::run`] returns `Ok`.
 
 use std::collections::VecDeque;
 use std::io::Write;
 use std::net::{SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
-use std::sync::{Arc, Condvar, Mutex, OnceLock};
+use std::sync::{Arc, Condvar, Mutex};
 use std::time::{Duration, Instant};
 
-use dvs_cluster::coordinator::CellOutcome;
 use dvs_cluster::http::{HttpConn, Request, RequestError, Response, DEFAULT_MAX_BODY_BYTES};
-use dvs_cluster::proto::{cell_payload_from_hex, cell_payload_to_hex, cell_to_json, UnitRef};
-use dvs_cluster::{Coordinator, WireConfig};
-use dvs_core::Scheme;
+use dvs_cluster::proto::{
+    cell_json, cell_payload_from_hex, cell_payload_to_hex, cell_to_json, stored_cell_result,
+    UnitRef,
+};
+use dvs_cluster::{spawn_lane, Coordinator, SubmitError, WireConfig, WorkerHandle};
+use dvs_core::{CellKey, Scheme};
 use dvs_obs::json::Value;
 use dvs_obs::{MetricsRegistry, Recorder};
 use dvs_sram::MilliVolts;
 use dvs_workloads::Benchmark;
 
 use crate::api::{self, CampaignSpec};
-use crate::jobs::{JobManager, SubmitError};
 
 /// How the HTTP front end is sized.
 #[derive(Debug, Clone)]
@@ -58,10 +62,34 @@ impl Default for ServerConfig {
     }
 }
 
+/// A node's part in a deployment; `/v1/healthz` reports its name.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Role {
+    /// Runs its campaigns through the in-process lane.
+    Single,
+    /// Serves `/v1/cluster/*` and leaves its campaigns to remote workers.
+    Coordinator,
+    /// Runs the worker loop against a remote coordinator; campaigns
+    /// submitted to the node itself run through its lane, as on a single
+    /// node.
+    Worker,
+}
+
+impl Role {
+    fn name(self) -> &'static str {
+        match self {
+            Role::Single => "single",
+            Role::Coordinator => "coordinator",
+            Role::Worker => "worker",
+        }
+    }
+}
+
 struct Shared {
     queue: Mutex<VecDeque<TcpStream>>,
     cv: Condvar,
-    jobs: JobManager,
+    coordinator: Arc<Coordinator>,
+    role: Role,
     registry: Arc<MetricsRegistry>,
     cfg: ServerConfig,
     shutdown: AtomicBool,
@@ -69,14 +97,13 @@ struct Shared {
     conns: AtomicUsize,
     /// The bound address, for the shutdown self-connect.
     local_addr: SocketAddr,
-    /// Cluster coordinator state, when this node coordinates a fleet.
-    /// Campaign routes divert to it and the `/v1/cluster/*` endpoints
-    /// come alive.
-    cluster: OnceLock<Arc<Coordinator>>,
-    /// Reported by `/v1/healthz` (`single`, `coordinator` or `worker`).
-    role: OnceLock<&'static str>,
     /// Process start, for the health uptime.
     started: Instant,
+    /// The in-process lane of a node that is not a coordinator. The first
+    /// accepted campaign starts it: started with the server, its threads
+    /// delay a fresh daemon's first answer (serve_mixed `setup_s` read
+    /// +29 % over 10 alternating pairs).
+    lane: Mutex<Option<WorkerHandle>>,
 }
 
 /// A bound-but-not-yet-running campaign server.
@@ -87,8 +114,8 @@ pub struct Server {
 }
 
 impl Server {
-    /// Binds `addr` (port 0 picks an ephemeral port) over an already
-    /// started [`JobManager`].
+    /// Binds `addr` (port 0 picks an ephemeral port) for a node of
+    /// `role` whose campaigns `coordinator` tracks.
     ///
     /// # Errors
     ///
@@ -96,7 +123,8 @@ impl Server {
     pub fn bind(
         addr: impl ToSocketAddrs,
         cfg: ServerConfig,
-        jobs: JobManager,
+        role: Role,
+        coordinator: Arc<Coordinator>,
         registry: Arc<MetricsRegistry>,
     ) -> std::io::Result<Server> {
         let listener = TcpListener::bind(addr)?;
@@ -107,15 +135,15 @@ impl Server {
             shared: Arc::new(Shared {
                 queue: Mutex::new(VecDeque::new()),
                 cv: Condvar::new(),
-                jobs,
+                coordinator,
+                role,
                 registry,
                 cfg,
                 shutdown: AtomicBool::new(false),
                 conns: AtomicUsize::new(0),
                 local_addr,
-                cluster: OnceLock::new(),
-                role: OnceLock::new(),
                 started: Instant::now(),
+                lane: Mutex::new(None),
             }),
         })
     }
@@ -125,25 +153,10 @@ impl Server {
         self.local_addr
     }
 
-    /// Turns this node into a cluster coordinator: campaign submissions
-    /// shard into leased work units instead of running locally, and the
-    /// `/v1/cluster/*` worker endpoints come alive. Call before
-    /// [`Server::run`].
-    pub fn enable_coordinator(&self, coordinator: Arc<Coordinator>) {
-        let _ = self.shared.cluster.set(coordinator);
-        let _ = self.shared.role.set("coordinator");
-    }
-
-    /// Sets the role string `/v1/healthz` reports (first call wins;
-    /// defaults to `"single"`).
-    pub fn set_role(&self, role: &'static str) {
-        let _ = self.shared.role.set(role);
-    }
-
     /// Serves until a shutdown request arrives, then drains gracefully:
-    /// workers finish their in-flight requests, the job queue drains
-    /// (running campaigns stop at the next trial boundary with their
-    /// completed cells persisted), and the call returns `Ok`.
+    /// workers finish their in-flight requests, the coordinator drains
+    /// (the lane's running campaign stops at the next trial boundary with
+    /// its completed cells persisted), and the call returns `Ok`.
     ///
     /// # Errors
     ///
@@ -203,8 +216,12 @@ impl Server {
         for w in workers {
             let _ = w.join();
         }
-        self.shared.jobs.drain();
-        self.shared.jobs.join();
+        self.shared.coordinator.drain();
+        // No route runs any more, so no submission can start a lane now.
+        if let Some(lane) = self.shared.lane.lock().expect("lane lock").take() {
+            lane.stop();
+            lane.join();
+        }
         Ok(())
     }
 }
@@ -301,32 +318,27 @@ fn serve_connection(shared: &Arc<Shared>, stream: TcpStream) {
 }
 
 fn route(shared: &Arc<Shared>, req: &Request) -> Response {
+    let c = &shared.coordinator;
     match (req.method.as_str(), req.path.as_str()) {
         ("GET", "/v1/healthz") => healthz(shared),
         ("POST", "/v1/campaigns") => submit_campaign(shared, req),
-        ("GET", "/v1/campaigns") => match shared.cluster.get() {
-            Some(c) => Response::json(200, cluster_list_json(c)),
-            None => Response::json(200, shared.jobs.list_json()),
-        },
+        ("GET", "/v1/campaigns") => Response::json(200, c.list_json(Instant::now())),
         ("GET", path) if path.starts_with("/v1/campaigns/") => {
             let id = &path["/v1/campaigns/".len()..];
-            let body = id
+            match id
                 .parse::<u64>()
                 .ok()
-                .and_then(|id| match shared.cluster.get() {
-                    Some(c) => cluster_status_json(c, id),
-                    None => shared.jobs.status_json(id),
-                });
-            match body {
+                .and_then(|id| c.status_json(id, Instant::now()))
+            {
                 Some(body) => Response::json(200, body),
                 None => Response::error(404, &format!("no campaign {id:?}")),
             }
         }
-        (method, path) if path.starts_with("/v1/cluster/") => match shared.cluster.get() {
-            Some(c) => cluster_route(c, method, path, req),
-            None => Response::error(404, "this node is not a cluster coordinator"),
+        (method, path) if path.starts_with("/v1/cluster/") => match shared.role {
+            Role::Coordinator => cluster_route(c, method, path, req),
+            _ => Response::error(404, "this node is not a cluster coordinator"),
         },
-        ("GET", "/v1/results") => store_query(shared, req),
+        ("GET", "/v1/results") => store_query(c, req),
         ("GET", "/v1/metrics") => {
             let snapshot = shared.registry.snapshot();
             if req.query_param("format") == Some("json") {
@@ -344,7 +356,8 @@ fn route(shared: &Arc<Shared>, req: &Request) -> Response {
     }
 }
 
-fn submit_campaign(shared: &Arc<Shared>, req: &Request) -> Response {
+fn submit_campaign(shared: &Shared, req: &Request) -> Response {
+    let c = &shared.coordinator;
     let body = match std::str::from_utf8(&req.body) {
         Ok(b) => b,
         Err(_) => return Response::error(400, "request body is not UTF-8"),
@@ -353,22 +366,18 @@ fn submit_campaign(shared: &Arc<Shared>, req: &Request) -> Response {
         Ok(s) => s,
         Err(e) => return Response::error(400, &e),
     };
-    if let Some(c) = shared.cluster.get() {
-        if shared.jobs.draining() {
-            return Response::error(503, "server is draining and refuses new campaigns");
+    let wire = WireConfig::of(&spec.config(c.base()));
+    match c.submit(wire, &spec.plan()) {
+        Ok(id) => {
+            if shared.role != Role::Coordinator {
+                let mut lane = shared.lane.lock().expect("lane lock");
+                lane.get_or_insert_with(|| spawn_lane(c.clone(), shared.registry.clone()));
+            }
+            Response::json(
+                202,
+                format!("{{\"id\":{id},\"state\":\"queued\",\"poll\":\"/v1/campaigns/{id}\"}}"),
+            )
         }
-        let cfg = spec.config(shared.jobs.base());
-        let id = c.submit(WireConfig::of(&cfg), &spec.plan(), Instant::now());
-        return Response::json(
-            202,
-            format!("{{\"id\":{id},\"state\":\"queued\",\"poll\":\"/v1/campaigns/{id}\"}}"),
-        );
-    }
-    match shared.jobs.submit(spec) {
-        Ok(id) => Response::json(
-            202,
-            format!("{{\"id\":{id},\"state\":\"queued\",\"poll\":\"/v1/campaigns/{id}\"}}"),
-        ),
         Err(SubmitError::QueueFull) => Response::error(429, "campaign queue is full")
             .with_header("Retry-After", "1".to_string()),
         Err(SubmitError::Draining) => {
@@ -377,7 +386,7 @@ fn submit_campaign(shared: &Arc<Shared>, req: &Request) -> Response {
     }
 }
 
-fn store_query(shared: &Arc<Shared>, req: &Request) -> Response {
+fn store_query(c: &Coordinator, req: &Request) -> Response {
     let benchmark = match req.query_param("benchmark").map(Benchmark::parse) {
         Some(Some(b)) => b,
         Some(None) => return Response::error(400, "unknown benchmark"),
@@ -410,117 +419,42 @@ fn store_query(shared: &Arc<Shared>, req: &Request) -> Response {
             Err(_) => return Response::error(400, "\"trace_instrs\" must be an integer"),
         }
     }
+    let base = WireConfig::of(c.base());
+    let wire = WireConfig {
+        maps: maps.unwrap_or(base.maps),
+        trace_instrs: trace_instrs.unwrap_or(base.trace_instrs),
+        seed: seed.unwrap_or(base.seed),
+        ..base
+    };
+    let key = CellKey::new(benchmark, scheme, vcc);
+    let Some(cell) = c.load(&wire, &key) else {
+        return Response::error(404, "no stored result for this cell at these settings");
+    };
     // `Accept: application/octet-stream` selects the cell's canonical
     // binary store encoding; anything else gets the JSON rendering.
     let wants_binary = req
         .header("accept")
         .is_some_and(|v| v.contains("application/octet-stream"));
     if wants_binary {
-        return match shared.jobs.store_lookup_bytes(
-            benchmark,
-            scheme,
-            vcc,
-            maps,
-            trace_instrs,
-            seed,
-        ) {
-            Some(bytes) => Response::binary(200, bytes),
-            None => Response::error(404, "no stored result for this cell at these settings"),
-        };
-    }
-    match shared
-        .jobs
-        .store_lookup(benchmark, scheme, vcc, maps, trace_instrs, seed)
-    {
-        Some(body) => Response::json(200, body),
-        None => Response::error(404, "no stored result for this cell at these settings"),
+        Response::binary(200, cell.to_bytes())
+    } else {
+        Response::json(200, cell_json(&key, &stored_cell_result(&key, cell)))
     }
 }
 
 fn healthz(shared: &Arc<Shared>) -> Response {
-    let role = shared.role.get().copied().unwrap_or("single");
-    let queue_depth =
-        shared.jobs.queue_depth() + shared.cluster.get().map_or(0, |c| c.pending_units());
+    let c = &shared.coordinator;
     let uptime_ms = u64::try_from(shared.started.elapsed().as_millis()).unwrap_or(u64::MAX);
     Response::json(
         200,
         api::healthz_json(
             env!("CARGO_PKG_VERSION"),
-            role,
+            shared.role.name(),
             uptime_ms,
-            queue_depth,
-            shared.jobs.draining(),
+            c.queue_depth(),
+            c.draining(),
         ),
     )
-}
-
-/// Renders a cluster campaign's status in the same shape as the local
-/// job table: the `"results"` array (present once every cell is
-/// terminal) is byte-comparable to a single-node run of the same spec.
-fn cluster_status_json(c: &Arc<Coordinator>, id: u64) -> Option<String> {
-    let p = c.progress(id, Instant::now())?;
-    let state = if !p.done {
-        "running"
-    } else if p.completed > 0 {
-        "complete"
-    } else {
-        "failed"
-    };
-    let mut out = format!(
-        "{{\"id\":{id},\"state\":\"{state}\",\"cells_total\":{},\"cells_done\":{},\
-         \"cells_failed\":{}",
-        p.total,
-        p.completed + p.failed,
-        p.failed,
-    );
-    if p.done {
-        out.push_str(",\"results\":[");
-        for (i, (key, outcome)) in p.results.iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            match outcome {
-                CellOutcome::Completed(cell) => out.push_str(&api::cell_json(
-                    key,
-                    &api::stored_cell_result(key, cell.clone()),
-                )),
-                CellOutcome::Failed(e) => out.push_str(&api::cell_error_json(key, e)),
-                CellOutcome::Pending => {
-                    unreachable!("done campaign has no pending cells")
-                }
-            }
-        }
-        out.push(']');
-    }
-    out.push('}');
-    Some(out)
-}
-
-fn cluster_list_json(c: &Arc<Coordinator>) -> String {
-    let now = Instant::now();
-    let mut out = String::from("[");
-    for (i, id) in c.campaign_ids().into_iter().enumerate() {
-        let Some(p) = c.progress(id, now) else {
-            continue;
-        };
-        if i > 0 {
-            out.push(',');
-        }
-        let state = if !p.done {
-            "running"
-        } else if p.completed > 0 {
-            "complete"
-        } else {
-            "failed"
-        };
-        out.push_str(&format!(
-            "{{\"id\":{id},\"state\":\"{state}\",\"cells_total\":{},\"cells_done\":{}}}",
-            p.total,
-            p.completed + p.failed,
-        ));
-    }
-    out.push(']');
-    out
 }
 
 /// Extracts a non-negative integer field from a parsed JSON body.
@@ -534,7 +468,7 @@ fn body_u64(v: &Value, key: &str) -> Result<u64, Response> {
 
 /// The worker-facing endpoints of a coordinator node. All bodies are
 /// JSON; a stale worker id answers `410 Gone` so the worker rejoins.
-fn cluster_route(c: &Arc<Coordinator>, method: &str, path: &str, req: &Request) -> Response {
+fn cluster_route(c: &Coordinator, method: &str, path: &str, req: &Request) -> Response {
     let now = Instant::now();
     let parse_body = || -> Result<Value, Response> {
         std::str::from_utf8(&req.body)
@@ -577,7 +511,7 @@ fn cluster_route(c: &Arc<Coordinator>, method: &str, path: &str, req: &Request) 
                 Err(r) => return r,
             };
             let max_units = body_u64(&v, "max_units").unwrap_or(1) as usize;
-            match c.lease(worker, max_units, now) {
+            match c.lease(worker, max_units.min(c.cfg().lease_units).max(1), now) {
                 Ok(grants) => {
                     let mut out = String::from("{\"units\":[");
                     for (i, g) in grants.iter().enumerate() {
@@ -620,7 +554,7 @@ fn cluster_route(c: &Arc<Coordinator>, method: &str, path: &str, req: &Request) 
             else {
                 return Response::error(400, "field \"payload\" must be a valid cell image");
             };
-            match c.complete(worker, UnitRef { campaign, index }, &cell, now) {
+            match c.complete(worker, UnitRef { campaign, index }, cell) {
                 Ok(()) => Response::json(200, "{\"ok\":true}".into()),
                 Err(e) => Response::error(404, &e),
             }

@@ -326,7 +326,7 @@ fn cluster_converges_scales_and_survives_worker_death() {
 
     // Reference daemon starts now (after all timing) and chews the same
     // specs serially while the death scenario runs on the cluster.
-    let reference = Node::start("ref", &["--executors", "1"]);
+    let reference = Node::start("ref", &[]);
     let ref_760 = submit(&reference.addr, &sweep_spec(760));
     let ref_720 = submit(&reference.addr, &sweep_spec(720));
 

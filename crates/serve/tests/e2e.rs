@@ -2,8 +2,10 @@
 //!
 //! Every test binds port 0, drives the JSON API through the shared
 //! `dvs_cluster::http` client, and finishes with a graceful shutdown
-//! whose `Server::run` must return `Ok`. The headline test proves the
-//! wire path is lossless: a campaign fetched over HTTP renders
+//! whose `Server::run` must return `Ok`. A single node is a coordinator
+//! whose in-process lane leases and completes every campaign, so each
+//! single-node test also runs the lease path. The headline test proves
+//! the wire path is lossless: a campaign fetched over HTTP renders
 //! byte-identical to a direct `Evaluator::run_plan` with different
 //! thread counts and a different store configuration. The refusal tests
 //! pin every status the server answers a broken request with; they fall
@@ -21,8 +23,7 @@ use dvs_core::{EvalConfig, Evaluator, ResultStore, Scheme};
 use dvs_obs::json::Value;
 use dvs_obs::MetricsRegistry;
 use dvs_serve::api::{self, CampaignSpec};
-use dvs_serve::jobs::{JobConfig, JobManager};
-use dvs_serve::{Server, ServerConfig};
+use dvs_serve::{Role, Server, ServerConfig};
 use dvs_sram::MilliVolts;
 use dvs_workloads::Benchmark;
 
@@ -49,24 +50,33 @@ struct TestServer {
 }
 
 impl TestServer {
-    fn start(jobs_cfg: JobConfig, store: Option<ResultStore>) -> TestServer {
+    /// A node of `role` on [`tiny_base`] admitting `queue_depth` waiting
+    /// campaigns.
+    fn start(role: Role, queue_depth: usize, store: Option<ResultStore>) -> TestServer {
         let cfg = ServerConfig {
             http_threads: 2,
             read_timeout: Duration::from_secs(5),
             write_timeout: Duration::from_secs(5),
             ..ServerConfig::default()
         };
-        TestServer::start_with(jobs_cfg, store, cfg)
+        let cluster = ClusterConfig {
+            queue_depth,
+            ..ClusterConfig::default()
+        };
+        TestServer::start_with(role, cluster, tiny_base(), store, cfg)
     }
 
     fn start_with(
-        jobs_cfg: JobConfig,
+        role: Role,
+        cluster: ClusterConfig,
+        base: EvalConfig,
         store: Option<ResultStore>,
         cfg: ServerConfig,
     ) -> TestServer {
         let registry = Arc::new(MetricsRegistry::new());
-        let jobs = JobManager::start(jobs_cfg, store, registry.clone());
-        let server = Server::bind("127.0.0.1:0", cfg, jobs, registry).expect("bind port 0");
+        let coordinator = Arc::new(Coordinator::new(cluster, base, store, registry.clone()));
+        let server =
+            Server::bind("127.0.0.1:0", cfg, role, coordinator, registry).expect("bind port 0");
         let addr = server.local_addr();
         let handle = std::thread::spawn(move || server.run());
         TestServer { addr, handle }
@@ -165,18 +175,66 @@ fn submitted_id(body: &str) -> u64 {
     v.get("id").and_then(Value::as_f64).expect("id field") as u64
 }
 
+/// The value at `path` in the server's JSON metrics snapshot (0 when
+/// absent).
+fn metric(addr: SocketAddr, path: &[&str]) -> f64 {
+    let (status, _, metrics) = request(addr, "GET", "/v1/metrics?format=json", None);
+    assert_eq!(status, 200);
+    let snapshot = Value::parse(&metrics).expect("metrics JSON parses");
+    path.iter()
+        .try_fold(&snapshot, |v, key| v.get(key))
+        .and_then(Value::as_f64)
+        .unwrap_or(0.0)
+}
+
+/// A counter from the server's JSON metrics snapshot (0 when absent).
+fn counter(addr: SocketAddr, name: &str) -> f64 {
+    metric(addr, &["counters", name])
+}
+
+/// Trial settings under which one `scheme` cell at `vcc` takes about
+/// `seconds` on this build: two trials longer than the engine's
+/// 50,000-instruction template cap, so they walk the CFG as the
+/// calibration run does.
+fn calibrated_base(scheme: Scheme, vcc: u32, seconds: f64) -> EvalConfig {
+    let probe_instrs = 60_000;
+    let base = EvalConfig {
+        trace_instrs: probe_instrs,
+        maps: 2,
+        threads: 1,
+        validate_images: false,
+        ..EvalConfig::quick()
+    };
+    let mut probe = Evaluator::new(base);
+    probe
+        .run(Benchmark::Crc32, scheme, MilliVolts::new(vcc))
+        .expect("calibration runs");
+    let ns_per_instr = probe.stats().sim_nanos / (2 * probe_instrs as u64);
+    let instrs = seconds * 1e9 / 2.0 / ns_per_instr.max(1) as f64;
+    EvalConfig {
+        trace_instrs: (instrs as u64).clamp(60_000, 50_000_000) as usize,
+        ..base
+    }
+}
+
+/// Submits a one-cell crc32 campaign at `base`'s settings and returns
+/// its terminal status.
+fn run_cell(addr: SocketAddr, scheme: Scheme, vcc: u32, base: &EvalConfig) -> String {
+    let spec = format!(
+        "{{\"benchmarks\":[\"crc32\"],\"schemes\":[\"{scheme}\"],\"voltages_mv\":[{vcc}],\
+         \"maps\":{},\"trace_instrs\":{},\"seed\":42}}",
+        base.maps, base.trace_instrs
+    );
+    let (status, _, body) = request(addr, "POST", "/v1/campaigns", Some(&spec));
+    assert_eq!(status, 202, "{body}");
+    poll_terminal(addr, submitted_id(&body), Duration::from_secs(60))
+}
+
 #[test]
 fn campaign_over_tcp_is_byte_identical_to_direct_run() {
     let store_dir = temp_dir("e2e-store");
     let store = ResultStore::open(&store_dir).expect("store opens");
-    let server = TestServer::start(
-        JobConfig {
-            queue_depth: 4,
-            executors: 1,
-            base: tiny_base(),
-        },
-        Some(store),
-    );
+    let server = TestServer::start(Role::Single, 4, Some(store));
 
     let spec_body = r#"{"benchmarks":["crc32","adpcm"],"schemes":["defect-free","FFW+BBR"],"voltages_mv":[760,600],"seed":11}"#;
     let (status, _, body) = request(server.addr, "POST", "/v1/campaigns", Some(spec_body));
@@ -261,22 +319,56 @@ fn campaign_over_tcp_is_byte_identical_to_direct_run() {
     let (status, _, bad) = request(server.addr, "GET", "/v1/results?benchmark=crc32", None);
     assert_eq!(status, 400, "{bad}");
 
+    // The in-process lane leased and completed every computed cell, with
+    // no lease lost along the way.
+    let cells = spec.plan().len() as f64;
+    assert_eq!(counter(server.addr, "cluster.units.completed"), cells);
+    assert_eq!(counter(server.addr, "serve.campaigns.completed"), 1.0);
+    for name in [
+        "cluster.leases.expired",
+        "cluster.units.requeued",
+        "cluster.leases.stolen",
+    ] {
+        assert_eq!(counter(server.addr, name), 0.0, "{name}");
+    }
+    // The coordinator keeps the store's accounting: every cell missed at
+    // submit and was saved at completion.
+    assert_eq!(counter(server.addr, "engine.store.cell_misses"), cells);
+    assert_eq!(counter(server.addr, "engine.store.cell_saves"), cells);
+    assert_eq!(
+        metric(server.addr, &["volatile", "gauges", "store.cells"]),
+        cells
+    );
+
     server.shutdown();
     let _ = std::fs::remove_dir_all(&store_dir);
 }
 
+/// Submits `quick` to a node whose depth-1 queue is full and checks the
+/// refusal: 429, `Retry-After: 1`, a JSON error body, and
+/// `serve.rejected` in the metrics.
+fn assert_refused_as_full(addr: SocketAddr, quick: &str) {
+    let (status, headers, body) = request(addr, "POST", "/v1/campaigns", Some(quick));
+    assert_eq!(status, 429, "{body}");
+    assert_eq!(header(&headers, "retry-after"), Some("1"), "{headers:?}");
+    // The structured error body must parse under the hardened parser,
+    // not just contain the right substring.
+    let error_body = Value::parse(&body).expect("429 body is valid JSON");
+    assert_eq!(
+        error_body.get("error").and_then(Value::as_str),
+        Some("campaign queue is full"),
+        "{body}"
+    );
+    assert!(counter(addr, "serve.rejected") >= 1.0);
+}
+
+const QUICK: &str = r#"{"benchmarks":["crc32"],"schemes":["defect-free"],"voltages_mv":[760],"maps":1,"trace_instrs":2000}"#;
+
 #[test]
 fn queue_full_returns_429_with_retry_after_and_metrics() {
-    let server = TestServer::start(
-        JobConfig {
-            queue_depth: 1,
-            executors: 1,
-            base: tiny_base(),
-        },
-        None,
-    );
+    let server = TestServer::start(Role::Single, 1, None);
 
-    // Campaign A is sized to run for a while on one executor: 400
+    // Campaign A is sized to run for a while in the lane: 400
     // fault-seeing trials (a defect-free cell would run one trial, over
     // before the poll below can see it running).
     let slow = r#"{"benchmarks":["crc32"],"schemes":["Wilkerson+"],"voltages_mv":[760],"maps":400,"trace_instrs":20000}"#;
@@ -284,7 +376,7 @@ fn queue_full_returns_429_with_retry_after_and_metrics() {
     assert_eq!(status, 202, "{body}");
     let id_a = submitted_id(&body);
 
-    // Wait until A occupies the executor, so the queue is empty again.
+    // Wait until the lane leases A, so the queue is empty again.
     let deadline = Instant::now() + Duration::from_secs(120);
     loop {
         let (_, _, s) = request(server.addr, "GET", &format!("/v1/campaigns/{id_a}"), None);
@@ -296,36 +388,9 @@ fn queue_full_returns_429_with_retry_after_and_metrics() {
     }
 
     // B fills the depth-1 queue; C must bounce with 429 + Retry-After.
-    let quick = r#"{"benchmarks":["crc32"],"schemes":["defect-free"],"voltages_mv":[760],"maps":1,"trace_instrs":2000}"#;
-    let (status_b, _, body_b) = request(server.addr, "POST", "/v1/campaigns", Some(quick));
+    let (status_b, _, body_b) = request(server.addr, "POST", "/v1/campaigns", Some(QUICK));
     assert_eq!(status_b, 202, "{body_b}");
-    let (status_c, headers_c, body_c) = request(server.addr, "POST", "/v1/campaigns", Some(quick));
-    assert_eq!(status_c, 429, "{body_c}");
-    assert_eq!(
-        header(&headers_c, "retry-after"),
-        Some("1"),
-        "{headers_c:?}"
-    );
-    // The structured error body must parse under the hardened parser,
-    // not just contain the right substring.
-    let error_body = Value::parse(&body_c).expect("429 body is valid JSON");
-    assert_eq!(
-        error_body.get("error").and_then(Value::as_str),
-        Some("campaign queue is full"),
-        "{body_c}"
-    );
-
-    // The rejection is observable in the metrics snapshot, and the JSON
-    // rendering parses with the hardened parser.
-    let (status, _, metrics) = request(server.addr, "GET", "/v1/metrics?format=json", None);
-    assert_eq!(status, 200);
-    let snapshot = Value::parse(&metrics).expect("metrics JSON parses");
-    let rejected = snapshot
-        .get("counters")
-        .and_then(|c| c.get("serve.rejected"))
-        .and_then(Value::as_f64)
-        .unwrap_or(0.0);
-    assert!(rejected >= 1.0, "serve.rejected missing:\n{metrics}");
+    assert_refused_as_full(server.addr, QUICK);
 
     // The text rendering serves too.
     let (status, _, text) = request(server.addr, "GET", "/v1/metrics", None);
@@ -337,16 +402,63 @@ fn queue_full_returns_429_with_retry_after_and_metrics() {
     server.shutdown();
 }
 
+/// A coordinator with no workers bounds admission the same way: its
+/// first campaign waits for a lease forever, so the second is refused.
+#[test]
+fn a_coordinator_without_workers_bounds_admission() {
+    let server = TestServer::start(Role::Coordinator, 1, None);
+    let (status, _, body) = request(server.addr, "POST", "/v1/campaigns", Some(QUICK));
+    assert_eq!(status, 202, "{body}");
+    let (_, _, health) = request(server.addr, "GET", "/v1/healthz", None);
+    assert!(health.contains("\"queue_depth\":1"), "{health}");
+    assert_refused_as_full(server.addr, QUICK);
+    server.shutdown();
+}
+
+/// A remote worker asking for more units than the coordinator's
+/// `lease_units` gets `lease_units`: the lease route clamps the request.
+#[test]
+fn a_lease_request_is_clamped_to_lease_units() {
+    let cluster = ClusterConfig {
+        lease_units: 2,
+        ..ClusterConfig::default()
+    };
+    let server = TestServer::start_with(
+        Role::Coordinator,
+        cluster,
+        tiny_base(),
+        None,
+        ServerConfig::default(),
+    );
+    let three = r#"{"benchmarks":["crc32"],"schemes":["defect-free"],"voltages_mv":[760,600,480]}"#;
+    let (status, _, body) = request(server.addr, "POST", "/v1/campaigns", Some(three));
+    assert_eq!(status, 202, "{body}");
+    let (status, _, body) = request(
+        server.addr,
+        "POST",
+        "/v1/cluster/join",
+        Some(r#"{"name":"t"}"#),
+    );
+    assert_eq!(status, 200, "{body}");
+    let worker = Value::parse(&body)
+        .ok()
+        .and_then(|v| v.get("worker").and_then(Value::as_f64))
+        .expect("a worker id") as u64;
+    let lease = format!("{{\"worker\":{worker},\"max_units\":8}}");
+    let granted = || {
+        let (status, _, body) = request(server.addr, "POST", "/v1/cluster/lease", Some(&lease));
+        assert_eq!(status, 200, "{body}");
+        let v = Value::parse(&body).expect("lease reply is JSON");
+        v.get("units").and_then(Value::as_arr).expect("units").len()
+    };
+    assert_eq!(granted(), 2);
+    assert_eq!(granted(), 1);
+    server.shutdown();
+}
+
 #[test]
 fn routing_rejects_what_it_should_and_shutdown_is_clean() {
-    let server = TestServer::start(
-        JobConfig {
-            queue_depth: 2,
-            executors: 1,
-            base: tiny_base(),
-        },
-        None,
-    );
+    let server = TestServer::start(Role::Single, 2, None);
 
     // Healthz is a real document now: it must survive the hardened
     // parser and carry role/version/queue-depth fields.
@@ -398,16 +510,11 @@ fn routing_rejects_what_it_should_and_shutdown_is_clean() {
     let (status, _, body) = request(server.addr, "GET", "/v1/campaigns", None);
     assert_eq!(status, 200);
     assert_eq!(body, "[]");
+    // A single node serves no worker fabric.
+    let (status, _, _) = request(server.addr, "GET", "/v1/cluster/workers", None);
+    assert_eq!(status, 404);
 
     server.shutdown();
-}
-
-fn idle_jobs() -> JobConfig {
-    JobConfig {
-        queue_depth: 2,
-        executors: 1,
-        base: tiny_base(),
-    }
 }
 
 /// A server with short fuses for the refusal tests: a 300 ms read
@@ -420,7 +527,13 @@ fn refusing_server() -> TestServer {
         max_body_bytes: 64,
         ..ServerConfig::default()
     };
-    TestServer::start_with(idle_jobs(), None, cfg)
+    TestServer::start_with(
+        Role::Single,
+        ClusterConfig::default(),
+        tiny_base(),
+        None,
+        cfg,
+    )
 }
 
 #[test]
@@ -483,25 +596,14 @@ struct OneWorkerCluster {
 
 impl OneWorkerCluster {
     fn start(tag: &str, cfg: ServerConfig, cluster: ClusterConfig, base: EvalConfig) -> Self {
-        let registry = Arc::new(MetricsRegistry::new());
-        let jobs = JobManager::start(idle_jobs(), None, registry.clone());
-        let server = Server::bind("127.0.0.1:0", cfg, jobs, registry.clone()).expect("bind port 0");
         let dirs = [
             temp_dir(&format!("{tag}-coordinator")),
             temp_dir(&format!("{tag}-worker")),
         ];
         let store = |dir: &PathBuf| ResultStore::open(dir).expect("store opens");
-        server.enable_coordinator(Arc::new(Coordinator::new(
-            cluster,
-            base,
-            Some(store(&dirs[0])),
-            registry,
-        )));
-        let addr = server.local_addr();
-        let server = TestServer {
-            addr,
-            handle: std::thread::spawn(move || server.run()),
-        };
+        let server =
+            TestServer::start_with(Role::Coordinator, cluster, base, Some(store(&dirs[0])), cfg);
+        let addr = server.addr;
         let mut worker_cfg = WorkerConfig::new(addr.to_string(), base, store(&dirs[1]));
         worker_cfg.heartbeat = Duration::from_millis(50);
         worker_cfg.idle_poll = Duration::from_millis(50);
@@ -511,19 +613,6 @@ impl OneWorkerCluster {
             worker,
             dirs,
         }
-    }
-
-    /// Submits a one-cell campaign and returns its terminal status.
-    fn run_cell(&self, scheme: Scheme, vcc: u32, base: &EvalConfig) -> String {
-        let spec = format!(
-            "{{\"benchmarks\":[\"crc32\"],\"schemes\":[\"{scheme}\"],\"voltages_mv\":[{vcc}],\
-             \"maps\":{},\"trace_instrs\":{},\"seed\":42}}",
-            base.maps, base.trace_instrs
-        );
-        let addr = self.server.addr;
-        let (status, _, body) = request(addr, "POST", "/v1/campaigns", Some(&spec));
-        assert_eq!(status, 202, "{body}");
-        poll_terminal(addr, submitted_id(&body), Duration::from_secs(60))
     }
 
     fn stop(self) {
@@ -543,30 +632,12 @@ impl OneWorkerCluster {
 /// connection.
 #[test]
 fn a_cell_outlasting_the_coordinators_read_timeout_completes() {
-    // The probe's trials are longer than the engine's 50,000-instruction
-    // template cap, so they walk the CFG as the cell's trials will.
-    let probe_instrs = 60_000;
-    let base = EvalConfig {
-        trace_instrs: probe_instrs,
-        maps: 2,
-        threads: 1,
-        validate_images: false,
-        ..EvalConfig::quick()
-    };
     let (scheme, vcc) = (Scheme::SimpleWdis, 560);
     // Two long trials, so the cell takes about 4 s on this build while
     // its result stays small: a large one fails its write to the closed
     // connection instead of reading the stale reply. The margin covers a
     // calibration slowed by tests running beside it.
-    let mut probe = Evaluator::new(base);
-    probe
-        .run(Benchmark::Crc32, scheme, MilliVolts::new(vcc))
-        .expect("calibration runs");
-    let ns_per_instr = probe.stats().sim_nanos / (2 * probe_instrs as u64);
-    let base = EvalConfig {
-        trace_instrs: (2_000_000_000 / ns_per_instr.max(1)).clamp(60_000, 50_000_000) as usize,
-        ..base
-    };
+    let base = calibrated_base(scheme, vcc, 4.0);
     let cfg = ServerConfig {
         http_threads: 4,
         read_timeout: Duration::from_millis(200),
@@ -575,7 +646,7 @@ fn a_cell_outlasting_the_coordinators_read_timeout_completes() {
     };
     let cluster = OneWorkerCluster::start("timeout", cfg, ClusterConfig::default(), base);
     let started = Instant::now();
-    let body = cluster.run_cell(scheme, vcc, &base);
+    let body = run_cell(cluster.server.addr, scheme, vcc, &base);
     assert!(body.contains("\"state\":\"complete\""), "{body}");
     assert!(body.contains("\"cells_done\":1"), "{body}");
     assert!(
@@ -611,7 +682,7 @@ fn a_cell_over_the_coordinators_body_limit_fails_the_campaign() {
         ..ClusterConfig::default()
     };
     let cluster = OneWorkerCluster::start("body-limit", cfg, retry, base);
-    let body = cluster.run_cell(Scheme::SimpleWdis, 600, &base);
+    let body = run_cell(cluster.server.addr, Scheme::SimpleWdis, 600, &base);
     assert!(body.contains("\"state\":\"failed\""), "{body}");
     assert!(body.contains("\"cells_failed\":1"), "{body}");
     assert!(body.contains("2 attempts exhausted"), "{body}");
@@ -628,6 +699,37 @@ fn a_cell_over_the_coordinators_body_limit_fails_the_campaign() {
     cluster.stop();
 }
 
+/// The lane's heartbeat renews its registration and lease while it
+/// evaluates, so a cell several times the lease TTL neither expires nor
+/// requeues.
+#[test]
+fn the_lane_keeps_a_cell_longer_than_the_lease_ttl() {
+    let (scheme, vcc) = (Scheme::SimpleWdis, 560);
+    let base = calibrated_base(scheme, vcc, 1.0);
+    let cluster = ClusterConfig {
+        lease_ttl: Duration::from_millis(100),
+        ..ClusterConfig::default()
+    };
+    let cfg = ServerConfig {
+        http_threads: 2,
+        ..ServerConfig::default()
+    };
+    let server = TestServer::start_with(Role::Single, cluster, base, None, cfg);
+    let started = Instant::now();
+    let body = run_cell(server.addr, scheme, vcc, &base);
+    assert!(body.contains("\"state\":\"complete\""), "{body}");
+    assert!(
+        started.elapsed() >= Duration::from_millis(500),
+        "the cell must outlast the lease TTL several times over ({} instructions)",
+        base.trace_instrs
+    );
+    assert_eq!(counter(server.addr, "cluster.units.completed"), 1.0);
+    assert!(counter(server.addr, "cluster.leases.renewed") >= 1.0);
+    assert_eq!(counter(server.addr, "cluster.leases.expired"), 0.0);
+    assert_eq!(counter(server.addr, "cluster.units.requeued"), 0.0);
+    server.shutdown();
+}
+
 #[test]
 fn connections_past_max_conns_get_503() {
     let cfg = ServerConfig {
@@ -636,7 +738,13 @@ fn connections_past_max_conns_get_503() {
         read_timeout: Duration::from_secs(30),
         ..ServerConfig::default()
     };
-    let server = TestServer::start_with(idle_jobs(), None, cfg);
+    let server = TestServer::start_with(
+        Role::Single,
+        ClusterConfig::default(),
+        tiny_base(),
+        None,
+        cfg,
+    );
     let addr = server.addr;
 
     // A kept-alive connection holds the only slot ...

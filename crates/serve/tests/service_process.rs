@@ -48,8 +48,6 @@ fn start_daemon(store_dir: &Path) -> Daemon {
             store_dir.to_str().expect("UTF-8 temp path"),
             "--threads",
             "4",
-            "--executors",
-            "1",
             "--engine-threads",
             "1",
             "--trace-instrs",
