@@ -104,20 +104,6 @@ pub struct WorkerStatus {
     pub units_done: u64,
 }
 
-/// One completed cell of the sync log, read back from the store; workers
-/// tail the log to converge their local stores on the whole campaign.
-#[derive(Debug, Clone)]
-pub struct SyncEntry {
-    /// Position in the log, starting at 1.
-    pub seq: u64,
-    /// Config the cell was computed under.
-    pub wire: WireConfig,
-    /// The cell.
-    pub key: CellKey,
-    /// Its result payload.
-    pub cell: StoredCell,
-}
-
 #[derive(Debug)]
 struct Lease {
     worker: u64,
@@ -254,9 +240,6 @@ struct Inner {
     workers: BTreeMap<u64, WorkerSlot>,
     next_campaign: u64,
     campaigns: BTreeMap<u64, Campaign>,
-    /// Units whose result the store holds, in the order they got there;
-    /// a sync page reads each payload back from the store.
-    sync_log: Vec<UnitRef>,
     /// Campaigns waiting for their first lease.
     queued: usize,
     draining: bool,
@@ -282,7 +265,7 @@ pub struct Coordinator {
 impl Coordinator {
     /// Creates a coordinator. `base` supplies the engine configuration
     /// campaigns are resolved against; `store` (when present) pre-resolves
-    /// submitted cells, persists computed ones and feeds the sync log.
+    /// submitted cells, persists computed ones and answers point queries.
     pub fn new(
         cfg: ClusterConfig,
         base: EvalConfig,
@@ -406,8 +389,8 @@ impl Coordinator {
     }
 
     /// Submits a campaign; returns its id. Cells the store already holds
-    /// complete at once (and enter the sync log) without ever being
-    /// leased; a campaign they settle entirely is complete on return.
+    /// complete at once without ever being leased; a campaign they settle
+    /// entirely is complete on return.
     ///
     /// # Errors
     ///
@@ -439,14 +422,10 @@ impl Coordinator {
             waiting: false,
             cancelled: false,
         };
-        for (index, (key, hit)) in plan.cells().iter().zip(hits).enumerate() {
+        for (key, hit) in plan.cells().iter().zip(hits) {
             let state = match hit {
                 Some(json) => {
                     campaign.completed += 1;
-                    inner.sync_log.push(UnitRef {
-                        campaign: id,
-                        index,
-                    });
                     UnitState::Completed(json)
                 }
                 None => UnitState::Pending { available_at: None },
@@ -657,7 +636,7 @@ impl Coordinator {
         let saved = self.store.as_ref().is_some_and(|store| {
             let saved = store.save(&self.store_key(&wire, &key), &cell).is_ok();
             if !saved {
-                // A failed save degrades resumability and the sync log,
+                // A failed save degrades resumability and point queries,
                 // not correctness: the rendered result stands.
                 self.registry.add("cluster.store.save_errors", 1);
             }
@@ -678,9 +657,6 @@ impl Coordinator {
         self.dequeue(&mut inner.queued, campaign);
         if campaign.settle(unit_ref.index, UnitState::Completed(json.into())) {
             self.count_finished(campaign);
-        }
-        if saved {
-            inner.sync_log.push(unit_ref);
         }
         if let Some(slot) = inner.workers.get_mut(&worker) {
             slot.units_done += 1;
@@ -853,50 +829,6 @@ impl Coordinator {
                 units_done: w.units_done,
             })
             .collect()
-    }
-
-    /// Sync-log entries with `seq > after`, up to `limit`, plus the
-    /// latest sequence number. Each payload is read back from the store
-    /// outside the lock; an entry whose cell the store has since evicted
-    /// is skipped. Workers poll this to converge their local stores on
-    /// every completed cell of every campaign.
-    pub fn sync_since(&self, after: u64, limit: usize) -> (Vec<SyncEntry>, u64) {
-        let mut entries = Vec::new();
-        let mut next = after;
-        loop {
-            let (refs, latest) = {
-                let inner = self.lock();
-                let latest = inner.sync_log.len() as u64;
-                let from = next.min(latest) as usize;
-                let refs: Vec<(u64, WireConfig, CellKey)> = inner.sync_log[from..]
-                    .iter()
-                    .take(limit - entries.len())
-                    .zip(from as u64 + 1..)
-                    .map(|(r, seq)| {
-                        let campaign = &inner.campaigns[&r.campaign];
-                        (seq, campaign.wire, campaign.units[r.index].key)
-                    })
-                    .collect();
-                (refs, latest)
-            };
-            if refs.is_empty() {
-                return (entries, latest);
-            }
-            for (seq, wire, key) in refs {
-                next = seq;
-                if let Some(cell) = self.load(&wire, &key) {
-                    entries.push(SyncEntry {
-                        seq,
-                        wire,
-                        key,
-                        cell,
-                    });
-                }
-            }
-            if entries.len() >= limit {
-                return (entries, latest);
-            }
-        }
     }
 }
 
@@ -1190,10 +1122,6 @@ mod tests {
         let g = c.lease(w, 2, t0).unwrap();
         assert_eq!(g.len(), 1);
         assert_eq!(g[0].key, plan2().cells()[1]);
-        // The pre-resolved cell entered the sync log.
-        let (entries, latest) = c.sync_since(0, 16);
-        assert_eq!(latest, 1);
-        assert_eq!((entries[0].key, &entries[0].cell), (done, &cell(5)));
         // A completed cell is in the store by the time the campaign reads
         // complete, and renders in plan order beside the store hit.
         c.complete(w, g[0].unit, cell(6)).unwrap();
@@ -1226,11 +1154,9 @@ mod tests {
         let stats = store.stats();
         assert!(stats.evictions >= 1, "{stats:?}");
         assert!(stats.cells <= 1, "{stats:?}");
-        // A sync page skips the evicted cell instead of serving nothing.
-        let (entries, latest) = c.sync_since(0, 16);
-        assert_eq!(latest, 2);
-        assert_eq!(entries.len(), 1);
-        assert_eq!((entries[0].seq, &entries[0].cell), (2, &cell(2)));
+        // A point query misses the evicted cell and answers the survivor.
+        assert_eq!(c.load(&wire(), &plan2().cells()[0]), None);
+        assert_eq!(c.load(&wire(), &plan2().cells()[1]), Some(cell(2)));
 
         // Resubmitting the same plan treats the evicted cell as a plain
         // miss: it is dispatched again, the survivor pre-resolves.
@@ -1249,23 +1175,22 @@ mod tests {
     }
 
     #[test]
-    fn sync_log_pages_in_order() {
-        let (c, store) = stored_coordinator("sync", quick_cfg());
+    fn every_completed_cell_answers_a_point_query() {
+        let (c, store) = stored_coordinator("query", quick_cfg());
         let t0 = Instant::now();
         let w = c.join("w", t0);
         let id = c.submit(wire(), &plan2()).unwrap();
         let g = c.lease(w, 2, t0).unwrap();
-        c.complete(w, g[0].unit, cell(1)).unwrap();
+        // Out of plan order: a point query does not wait for the campaign.
         c.complete(w, g[1].unit, cell(2)).unwrap();
-        let (page1, latest) = c.sync_since(0, 1);
-        assert_eq!(latest, 2);
-        assert_eq!(page1.len(), 1);
-        assert_eq!(page1[0].seq, 1);
-        let (page2, _) = c.sync_since(page1[0].seq, 16);
-        assert_eq!(page2.len(), 1);
-        assert_eq!(page2[0].seq, 2);
-        assert!(c.sync_since(2, 16).0.is_empty());
-        assert_eq!(field(&status(&c, id, t0), "cells_done"), 2);
+        assert_eq!(c.load(&wire(), &g[1].key), Some(cell(2)));
+        assert_eq!(c.load(&wire(), &g[0].key), None, "not computed yet");
+        c.complete(w, g[0].unit, cell(1)).unwrap();
+        assert_eq!(state(&status(&c, id, t0)), "complete");
+        assert_eq!(c.load(&wire(), &g[0].key), Some(cell(1)));
+        // The wire config is part of the cell's identity.
+        let other = WireConfig { seed: 7, ..wire() };
+        assert_eq!(c.load(&other, &g[0].key), None);
         let _ = std::fs::remove_dir_all(store.dir());
     }
 

@@ -31,12 +31,13 @@ pub const DEFAULT_MAX_BODY_BYTES: usize = 1 << 20;
 
 /// Upper bound on a reply body [`HttpClient`] reads.
 ///
-/// No reply the server renders for a cluster worker comes near it. The
-/// largest is a sync page (`GET /v1/cluster/sync`), which the server
-/// clamps to 256 entries (workers ask for 64). Each entry carries one
-/// cell, and cells reach a coordinator in `POST /v1/cluster/complete`
-/// bodies, which the server caps at [`DEFAULT_MAX_BODY_BYTES`]. Twice
-/// 256 such bodies leaves room for every entry's JSON frame.
+/// No reply a cluster worker reads comes near it. The largest is a cell
+/// image a worker node relays from its coordinator (`GET /v1/results`),
+/// and every cell reached the coordinator hex-encoded in a `POST
+/// /v1/cluster/complete` body, which the server caps at
+/// [`DEFAULT_MAX_BODY_BYTES`]. The bound's headroom is for the other
+/// clients of this codec, `dvs-loadgen` and the test helpers, which read
+/// whole campaigns' status documents.
 pub const MAX_REPLY_BODY_BYTES: usize = 2 * 256 * DEFAULT_MAX_BODY_BYTES;
 
 /// Bytes asked of the transport per read.
@@ -458,6 +459,7 @@ impl Response {
             431 => "Request Header Fields Too Large",
             500 => "Internal Server Error",
             501 => "Not Implemented",
+            502 => "Bad Gateway",
             503 => "Service Unavailable",
             _ => "Unknown",
         }

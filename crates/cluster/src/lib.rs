@@ -8,9 +8,10 @@
 //! completion, drain and status rendering live there, and every
 //! `dvs-serve` node runs one. A `--cluster` node serves its units to
 //! remote workers over the dependency-free HTTP layer (`dvs-serve --join
-//! <coordinator>` runs the worker loop); any other node runs them through
-//! its **in-process lane** ([`spawn_lane`]), the same worker loop by
-//! direct call.
+//! <coordinator>` runs the worker loop and refuses campaigns of its own);
+//! a single node runs them through its **in-process lane**
+//! ([`spawn_lane`]), the same worker loop by direct call. So no process
+//! runs two engines.
 //!
 //! The protocol is lease-based and idempotent by construction:
 //!
@@ -25,9 +26,10 @@
 //!   keeps whichever finishes first (first-writer-wins).
 //! * Completed cells are pushed back as checksummed
 //!   [`dvs_core::StoredCell`] images; the coordinator persists them in
-//!   its [`dvs_core::ResultStore`] and appends them to a **sync log**
-//!   that any worker can tail, so after convergence *any* node answers
-//!   `GET /v1/results` for the whole campaign from its local store.
+//!   its [`dvs_core::ResultStore`], the cluster's **one copy** of every
+//!   result. A worker node answers `GET /v1/results` for a cell its own
+//!   store lacks by asking the coordinator for that exact cell, so *any*
+//!   node answers for the whole campaign with the coordinator's bytes.
 //!
 //! Layering: [`http`] is the workspace's one HTTP/1.1 codec (the server's
 //! [`http::HttpConn`] and the keep-alive [`HttpClient`] share one

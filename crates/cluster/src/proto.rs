@@ -51,9 +51,9 @@ impl WireConfig {
     }
 
     /// `base` with this wire config's result-relevant fields applied.
-    /// Parallelism and checking knobs (`threads`,
-    /// `max_parallel_trials`, `validate_images`, ...) stay the node
-    /// operator's choice — they can never change results.
+    /// Parallelism and checking knobs (`threads`, `validate_images`,
+    /// ...) stay the node operator's choice — they can never change
+    /// results.
     pub fn apply(&self, base: &EvalConfig) -> EvalConfig {
         EvalConfig {
             maps: self.maps,
@@ -190,7 +190,7 @@ pub fn hex_decode(s: &str) -> Option<Vec<u8>> {
     Some(out)
 }
 
-/// Renders a completed cell payload for the push/sync wire.
+/// Renders a completed cell payload for the push wire.
 pub fn cell_payload_to_hex(cell: &StoredCell) -> String {
     hex_encode(&cell.to_bytes())
 }
@@ -402,5 +402,179 @@ mod tests {
         assert!(rendered.contains("\"status\":\"error\""), "{rendered}");
         assert!(rendered.contains("(9 attempts)"), "{rendered}");
         assert!(Value::parse(&rendered).is_ok(), "{rendered}");
+    }
+}
+
+/// Property tests of the cell payload decoders, the boundary every result
+/// crosses between nodes: a coordinator decodes each worker's `complete`
+/// payload with [`cell_payload_from_hex`], and a worker node decodes each
+/// point query it relays with [`StoredCell::from_bytes`]. Every cell
+/// round-trips; every corruption of an image decodes to `None`, never a
+/// panic.
+#[cfg(test)]
+mod props {
+    use super::*;
+    use dvs_cache::MemStats;
+    use dvs_core::TrialMetrics;
+    use dvs_cpu::SimResult;
+    use dvs_linker::LinkStats;
+    use dvs_power::RunCounts;
+    use proptest::collection::vec;
+    use proptest::prelude::*;
+
+    /// Counters per trial that [`cell`] reads.
+    const WORDS: usize = 23;
+
+    /// A cell whose trials take their counters from `words`, [`WORDS`]
+    /// per trial; a trial carries link stats when the top bit of its
+    /// last word is set.
+    fn cell(failed_links: u64, words: &[u64]) -> StoredCell {
+        let trials = words
+            .chunks_exact(WORDS)
+            .map(|w| {
+                let mem = MemStats {
+                    l1i_accesses: w[5],
+                    l1i_misses: w[6],
+                    l1i_word_misses: w[7],
+                    l1d_loads: w[8],
+                    l1d_stores: w[9],
+                    l1d_load_misses: w[10],
+                    l1d_word_misses: w[11],
+                    l2_accesses: w[12],
+                    l2_misses: w[13],
+                    l2_writebacks: w[14],
+                };
+                let half = |i: usize, high: bool| (w[i] >> if high { 32 } else { 0 }) as u32;
+                TrialMetrics {
+                    result: SimResult {
+                        instructions: w[0],
+                        synthetic: w[1],
+                        cycles: w[2],
+                        mem,
+                        branches: w[3],
+                        mispredicts: w[4],
+                    },
+                    counts: RunCounts {
+                        instructions: w[15],
+                        executed: w[16],
+                        cycles: w[17],
+                        l1_accesses: w[18],
+                        l2_accesses: w[19],
+                    },
+                    link_stats: (w[22] >> 63 == 1).then(|| LinkStats {
+                        image_words: half(20, false),
+                        code_words: half(20, true),
+                        padding_words: half(21, false),
+                        cache_words_used: half(21, true),
+                        cache_words_shared: half(22, false),
+                        fault_free_words: half(22, true),
+                    }),
+                }
+            })
+            .collect();
+        StoredCell {
+            failed_links,
+            trials,
+        }
+    }
+
+    /// FNV-1a, the checksum a cell image ends with.
+    fn fnv1a(bytes: &[u8]) -> u64 {
+        bytes.iter().fold(0xcbf2_9ce4_8422_2325, |h, &b| {
+            (h ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3)
+        })
+    }
+
+    /// Frames `payload` as a cell image: its length, the payload and a
+    /// checksum that matches it.
+    fn image(payload: &[u8]) -> Vec<u8> {
+        let mut out = (payload.len() as u64).to_le_bytes().to_vec();
+        out.extend_from_slice(payload);
+        out.extend_from_slice(&fnv1a(payload).to_le_bytes());
+        out
+    }
+
+    /// Both decoders refuse `bytes`.
+    fn refused(bytes: &[u8]) -> Result<(), TestCaseError> {
+        prop_assert_eq!(StoredCell::from_bytes(bytes), None);
+        prop_assert_eq!(cell_payload_from_hex(&hex_encode(bytes)), None);
+        Ok(())
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(128))]
+
+        /// Any cell survives both encodings bit for bit.
+        fn cells_round_trip(
+            failed_links: u64,
+            words in vec(any::<u64>(), 0..WORDS * 6),
+        ) {
+            let cell = cell(failed_links, &words);
+            let bytes = cell.to_bytes();
+            prop_assert_eq!(StoredCell::from_bytes(&bytes), Some(cell.clone()));
+            prop_assert_eq!(cell_payload_from_hex(&cell_payload_to_hex(&cell)), Some(cell));
+        }
+
+        /// Arbitrary bytes, every truncation, trailing bytes, single-bit
+        /// flips, images spliced into one another, and images whose
+        /// lengths, sequence counts or option tags lie under a recomputed
+        /// checksum: all decode to `None`.
+        fn corrupted_images_decode_to_none(
+            failed_links: u64,
+            words in vec(any::<u64>(), 0..WORDS * 4),
+            other_words in vec(any::<u64>(), 0..WORDS * 4),
+            noise in vec(any::<u8>(), 0..600),
+            flips in vec(any::<u64>(), 1..24),
+            cut: usize,
+            other_cut: usize,
+            lie: u64,
+            tag: u8,
+        ) {
+            let bytes = cell(failed_links, &words).to_bytes();
+            let payload = &bytes[8..bytes.len() - 8];
+            prop_assert_eq!(&image(payload), &bytes);
+
+            refused(&noise)?;
+            prop_assert_eq!(cell_payload_from_hex(&String::from_utf8_lossy(&noise)), None);
+            for cut in 0..bytes.len() {
+                refused(&bytes[..cut])?;
+            }
+            let mut longer = bytes.clone();
+            longer.push(noise.first().copied().unwrap_or(0));
+            refused(&longer)?;
+
+            for flip in &flips {
+                let mut flipped = bytes.clone();
+                let at = (*flip % (bytes.len() as u64 * 8)) as usize;
+                flipped[at / 8] ^= 1 << (at % 8);
+                refused(&flipped)?;
+            }
+
+            let other = cell(!failed_links, &other_words).to_bytes();
+            let (at, from) = (cut % bytes.len(), other_cut % other.len());
+            let spliced = [&bytes[..at], &other[from..]].concat();
+            if spliced != bytes && spliced != other {
+                refused(&spliced)?;
+            }
+
+            let mut length = bytes.clone();
+            let declared = if lie == payload.len() as u64 { lie + 1 } else { lie };
+            length[..8].copy_from_slice(&declared.to_le_bytes());
+            refused(&length)?;
+
+            let trials = words.len() / WORDS;
+            let count = if lie == trials as u64 { lie ^ 1 } else { lie };
+            let mut counted = payload.to_vec();
+            counted[8..16].copy_from_slice(&count.to_le_bytes());
+            refused(&image(&counted))?;
+
+            if trials > 0 {
+                // The first trial's link-stats tag follows its 20 counters.
+                let at = 16 + 20 * 8;
+                let mut tagged = payload.to_vec();
+                tagged[at] = if tag == tagged[at] { tag ^ 1 } else { tag };
+                refused(&image(&tagged))?;
+            }
+        }
     }
 }

@@ -10,12 +10,12 @@
 //! and the coordinator requeues the units — no cleanup path needs to run
 //! on the dying node.
 //!
-//! A remote worker ([`spawn_worker`]) talks HTTP and, when idle, tails
-//! the coordinator's sync log into its local [`ResultStore`], so after a
-//! campaign converges *any* node can answer point queries for the whole
-//! campaign from local disk. The in-process lane ([`spawn_lane`]) is the
-//! same loop by direct call: it is how a node without `--cluster` runs
-//! its campaigns.
+//! A remote worker ([`spawn_worker`]) talks HTTP and keeps no copy of
+//! what other workers computed: its node reads point queries it cannot
+//! answer through to the coordinator. The in-process lane
+//! ([`spawn_lane`]) is the same loop by direct call: it is how a node
+//! without `--cluster` runs its campaigns. Idle threads of either park
+//! until their next deadline, and [`WorkerHandle::stop`] wakes them.
 
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Mutex};
@@ -23,19 +23,14 @@ use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
 use dvs_core::{
-    CancelToken, CellKey, EvalConfig, EvalError, Evaluator, ExperimentPlan, ResultStore, StoreKey,
-    StoredCell,
+    CancelToken, CellKey, EvalConfig, EvalError, Evaluator, ExperimentPlan, ResultStore, StoredCell,
 };
-use dvs_cpu::CoreConfig;
 use dvs_obs::json::{json_escape, Value};
 use dvs_obs::{MetricsRegistry, Recorder};
-use dvs_sram::CacheGeometry;
 
 use crate::coordinator::Coordinator;
 use crate::http::{HttpClient, Reply, RequestError};
-use crate::proto::{
-    cell_from_json, cell_payload_from_hex, cell_payload_to_hex, UnitRef, WireConfig,
-};
+use crate::proto::{cell_from_json, cell_payload_to_hex, UnitRef, WireConfig};
 
 /// Configuration of one worker node.
 #[derive(Debug)]
@@ -47,7 +42,8 @@ pub struct WorkerConfig {
     /// Base evaluation config; its parallelism/checking knobs apply
     /// locally, its result-relevant fields are overridden per lease.
     pub base: EvalConfig,
-    /// Local result store (also the sync-log destination).
+    /// Local result store; the worker's evaluator saves every cell it
+    /// computes there.
     pub store: ResultStore,
     /// Units requested per lease call.
     pub lease_units: usize,
@@ -86,10 +82,14 @@ pub struct WorkerHandle {
 
 impl WorkerHandle {
     /// Asks the worker to stop: in-flight evaluation is cancelled at the
-    /// next trial boundary and both threads wind down.
+    /// next trial boundary, paused threads wake, and both threads wind
+    /// down.
     pub fn stop(&self) {
         self.stop.store(true, Ordering::Relaxed);
         self.cancel.cancel();
+        for t in &self.threads {
+            t.thread().unpark();
+        }
     }
 
     /// Waits for the worker's threads to finish.
@@ -111,7 +111,7 @@ pub fn spawn_worker(cfg: WorkerConfig, registry: Arc<MetricsRegistry>) -> Worker
         let worker_id = worker_id.clone();
         let mut client = HttpClient::new(cfg.coordinator.clone(), cfg.timeout);
         let period = cfg.heartbeat;
-        std::thread::spawn(move || {
+        spawn_named("dvs-worker-heartbeat", move || {
             heartbeat_loop(period, &stop, &worker_id, |id| {
                 let body = format!("{{\"worker\":{id}}}");
                 // Only a refusal means the coordinator no longer knows
@@ -130,7 +130,7 @@ pub fn spawn_worker(cfg: WorkerConfig, registry: Arc<MetricsRegistry>) -> Worker
             registry: registry.clone(),
             eval: None,
         };
-        std::thread::spawn(move || {
+        spawn_named("dvs-worker", move || {
             let mut rt = Runtime {
                 client: HttpClient::new(cfg.coordinator.clone(), cfg.timeout),
                 cfg,
@@ -138,7 +138,6 @@ pub fn spawn_worker(cfg: WorkerConfig, registry: Arc<MetricsRegistry>) -> Worker
                 stop,
                 worker_id,
                 engine,
-                sync_seq: 0,
             };
             rt.run();
         })
@@ -173,13 +172,25 @@ fn call(
     }
 }
 
-/// Sleeps `total` in short slices so a stop request is honored quickly.
+/// Spawns a thread under `name`, so per-thread tools can tell a node's
+/// worker and lane threads apart.
+fn spawn_named(name: &str, f: impl FnOnce() + Send + 'static) -> JoinHandle<()> {
+    std::thread::Builder::new()
+        .name(name.to_string())
+        .spawn(f)
+        .expect("spawn worker thread")
+}
+
+/// Parks the calling thread for `total`, or until a stop request:
+/// [`WorkerHandle::stop`] unparks every thread it owns.
 fn pause(stop: &AtomicBool, total: Duration) {
-    let mut left = total;
-    while !stop.load(Ordering::Relaxed) && !left.is_zero() {
-        let slice = left.min(Duration::from_millis(25));
-        std::thread::sleep(slice);
-        left = left.saturating_sub(slice);
+    let deadline = Instant::now() + total;
+    while !stop.load(Ordering::Relaxed) {
+        let left = deadline.saturating_duration_since(Instant::now());
+        if left.is_zero() {
+            return;
+        }
+        std::thread::park_timeout(left);
     }
 }
 
@@ -300,7 +311,7 @@ pub fn spawn_lane(coordinator: Arc<Coordinator>, registry: Arc<MetricsRegistry>)
     let hb = {
         let (stop, worker_id, coordinator) = (stop.clone(), worker_id.clone(), coordinator.clone());
         let period = (coordinator.cfg().lease_ttl / 5).max(Duration::from_millis(1));
-        std::thread::spawn(move || {
+        spawn_named("dvs-lane-heartbeat", move || {
             heartbeat_loop(period, &stop, &worker_id, |id| {
                 coordinator.heartbeat(id, Instant::now()).is_ok()
             });
@@ -314,7 +325,7 @@ pub fn spawn_lane(coordinator: Arc<Coordinator>, registry: Arc<MetricsRegistry>)
             registry,
             eval: None,
         };
-        std::thread::spawn(move || loop {
+        spawn_named("dvs-lane", move || loop {
             coordinator.wait_for_work();
             if coordinator.draining() {
                 return;
@@ -352,7 +363,6 @@ struct Runtime {
     stop: Arc<AtomicBool>,
     worker_id: Arc<Mutex<Option<u64>>>,
     engine: Engine,
-    sync_seq: u64,
 }
 
 impl Runtime {
@@ -363,14 +373,12 @@ impl Runtime {
             };
             match self.lease(id) {
                 LeaseOutcome::Units(units) => self.execute(id, &units),
-                LeaseOutcome::Idle => {
-                    self.sync_pull();
+                LeaseOutcome::Idle | LeaseOutcome::Transport => {
                     pause(&self.stop, self.cfg.idle_poll);
                 }
                 LeaseOutcome::Expired => {
                     *self.worker_id.lock().expect("worker id lock") = None;
                 }
-                LeaseOutcome::Transport => pause(&self.stop, self.cfg.idle_poll),
             }
         }
     }
@@ -485,55 +493,6 @@ impl Runtime {
         let _ = call(&mut self.client, "POST", "/v1/cluster/fail", &body);
         self.registry.add("cluster.worker.units.failed", 1);
     }
-
-    /// Tails the coordinator's sync log into the local store so this
-    /// node can answer point queries for cells other workers computed.
-    fn sync_pull(&mut self) {
-        loop {
-            let path = format!("/v1/cluster/sync?after={}&limit=64", self.sync_seq);
-            let Some(v) = call(&mut self.client, "GET", &path, "")
-                .ok()
-                .filter(|reply| reply.status == 200)
-                .as_ref()
-                .and_then(parse_reply)
-            else {
-                return;
-            };
-            let latest = v
-                .get("latest")
-                .and_then(Value::as_f64)
-                .map_or(self.sync_seq, |f| f as u64);
-            let Some(entries) = v.get("entries").and_then(Value::as_arr) else {
-                return;
-            };
-            if entries.is_empty() {
-                self.sync_seq = self.sync_seq.max(latest);
-                return;
-            }
-            for entry in entries {
-                let Some((seq, wire, key, cell)) = parse_sync_entry(entry) else {
-                    // A malformed entry would repeat forever; skip past it.
-                    self.sync_seq += 1;
-                    continue;
-                };
-                let store_key = StoreKey::for_cell(
-                    &wire.apply(&self.cfg.base),
-                    &CoreConfig::dsn2016(),
-                    &CacheGeometry::dsn_l1(),
-                    &key,
-                );
-                if self.cfg.store.load(&store_key).is_none()
-                    && self.cfg.store.save(&store_key, &cell).is_ok()
-                {
-                    self.registry.add("cluster.worker.sync_cells", 1);
-                }
-                self.sync_seq = self.sync_seq.max(seq);
-            }
-            if self.sync_seq >= latest {
-                return;
-            }
-        }
-    }
 }
 
 enum LeaseOutcome {
@@ -562,152 +521,17 @@ fn parse_lease_units(v: &Value) -> Option<Vec<(UnitRef, CellKey, WireConfig)>> {
     Some(units)
 }
 
-fn parse_sync_entry(v: &Value) -> Option<(u64, WireConfig, CellKey, StoredCell)> {
-    let seq = v.get("seq").and_then(Value::as_f64)? as u64;
-    let wire = WireConfig::from_json(v.get("config")?).ok()?;
-    let key = cell_from_json(v.get("cell")?).ok()?;
-    let cell = cell_payload_from_hex(v.get("payload").and_then(Value::as_str)?)?;
-    Some((seq, wire, key, cell))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::http::{HttpConn, Response, DEFAULT_MAX_BODY_BYTES};
-    use crate::proto::cell_to_json;
-    use dvs_core::Scheme;
-    use dvs_sram::MilliVolts;
+    use crate::http::{HttpConn, Response};
+    use crate::proto::{cell_payload_from_hex, cell_to_json};
+    use crate::ClusterConfig;
+    use dvs_core::{Scheme, StoreKey};
+    use dvs_cpu::CoreConfig;
+    use dvs_sram::{CacheGeometry, MilliVolts};
     use dvs_workloads::Benchmark;
     use std::net::TcpListener;
-    use std::thread::JoinHandle;
-
-    /// Drives the full worker loop against a scripted fake coordinator:
-    /// join → lease one real (tiny) cell → expect the computed result
-    /// pushed back → serve a sync entry → idle. Exercises every request
-    /// the worker makes without a real server.
-    #[test]
-    fn worker_loop_executes_a_lease_and_tails_the_sync_log() {
-        let base = EvalConfig {
-            maps: 1,
-            trace_instrs: 400,
-            threads: 1,
-            ..EvalConfig::quick()
-        };
-        let wire = WireConfig::of(&base);
-        let leased = CellKey::new(Benchmark::Crc32, Scheme::DefectFree, MilliVolts::new(760));
-        let synced = CellKey::new(Benchmark::Qsort, Scheme::DefectFree, MilliVolts::new(760));
-        let synced_cell = StoredCell {
-            failed_links: 4,
-            trials: Vec::new(),
-        };
-
-        let listener = TcpListener::bind("127.0.0.1:0").expect("bind");
-        let addr = listener.local_addr().expect("addr").to_string();
-        let lease_body = format!(
-            "{{\"units\":[{{\"campaign\":1,\"index\":0,\"stolen\":false,\
-             \"cell\":{},\"config\":{}}}]}}",
-            cell_to_json(&leased),
-            wire.to_json(),
-        );
-        let sync_body = format!(
-            "{{\"latest\":1,\"entries\":[{{\"seq\":1,\"config\":{},\"cell\":{},\
-             \"payload\":\"{}\"}}]}}",
-            wire.to_json(),
-            cell_to_json(&synced),
-            cell_payload_to_hex(&synced_cell),
-        );
-        let server = std::thread::spawn(move || {
-            let mut leased_out = false;
-            let mut completed: Option<String> = None;
-            let mut sync_served = false;
-            // Serve connections (worker + heartbeat threads) until the
-            // scripted interaction has fully played out.
-            listener.set_nonblocking(false).expect("blocking listener");
-            'outer: loop {
-                let (stream, _) = listener.accept().expect("accept");
-                let mut conn = HttpConn::new(stream, DEFAULT_MAX_BODY_BYTES);
-                while let Ok(req) = conn.read_request() {
-                    let body = String::from_utf8(req.body).expect("UTF-8 request body");
-                    let reply = match (req.method.as_str(), req.path.as_str()) {
-                        ("POST", "/v1/cluster/join") => {
-                            assert!(body.contains("\"name\""));
-                            "{\"worker\":7}".to_string()
-                        }
-                        ("POST", "/v1/cluster/heartbeat") => "{\"ok\":true}".to_string(),
-                        ("POST", "/v1/cluster/lease") => {
-                            assert!(body.contains("\"worker\":7"));
-                            if leased_out {
-                                "{\"units\":[]}".to_string()
-                            } else {
-                                leased_out = true;
-                                lease_body.clone()
-                            }
-                        }
-                        ("POST", "/v1/cluster/complete") => {
-                            completed = Some(body);
-                            "{\"ok\":true}".to_string()
-                        }
-                        ("GET", "/v1/cluster/sync") => {
-                            if sync_served && completed.is_some() {
-                                conn.write_response(&Response::json(
-                                    200,
-                                    "{\"latest\":1,\"entries\":[]}".to_string(),
-                                ))
-                                .expect("write response");
-                                break 'outer;
-                            }
-                            sync_served = true;
-                            sync_body.clone()
-                        }
-                        (method, path) => panic!("unexpected request {method} {path} ({body})"),
-                    };
-                    conn.write_response(&Response::json(200, reply))
-                        .expect("write response");
-                }
-            }
-            completed.expect("worker pushed a completed cell")
-        });
-
-        let dir = std::env::temp_dir().join(format!("dvs-worker-loop-{}", std::process::id()));
-        let _ = std::fs::remove_dir_all(&dir);
-        let store = ResultStore::open(&dir).expect("store");
-        let mut cfg = WorkerConfig::new(addr, base, store.clone());
-        cfg.heartbeat = Duration::from_millis(50);
-        cfg.idle_poll = Duration::from_millis(20);
-        let registry = Arc::new(MetricsRegistry::new());
-        let handle = spawn_worker(cfg, registry.clone());
-
-        let completed = server.join().expect("fake coordinator");
-        handle.stop();
-        handle.join();
-
-        // The pushed payload decodes to the locally stored result.
-        let hex = completed
-            .split("\"payload\":\"")
-            .nth(1)
-            .and_then(|s| s.split('"').next())
-            .expect("payload field");
-        let pushed = cell_payload_from_hex(hex).expect("payload decodes");
-        let leased_key = StoreKey::for_cell(
-            &wire.apply(&base),
-            &CoreConfig::dsn2016(),
-            &CacheGeometry::dsn_l1(),
-            &leased,
-        );
-        assert_eq!(store.load(&leased_key), Some(pushed));
-
-        // The sync entry landed in the local store byte-for-byte.
-        let synced_key = StoreKey::for_cell(
-            &wire.apply(&base),
-            &CoreConfig::dsn2016(),
-            &CacheGeometry::dsn_l1(),
-            &synced,
-        );
-        assert_eq!(store.load(&synced_key), Some(synced_cell));
-        assert_eq!(registry.counter("cluster.worker.units.completed"), 1);
-        assert_eq!(registry.counter("cluster.worker.sync_cells"), 1);
-        let _ = std::fs::remove_dir_all(&dir);
-    }
 
     /// What a [`ScriptedCoordinator`] saw: the bodies of the worker's
     /// `complete` and `fail` requests, and the connections it accepted.
@@ -798,7 +622,6 @@ mod tests {
                                         seen.lock().unwrap().fails.push(body);
                                         ok("{\"ok\":true}")
                                     }
-                                    "/v1/cluster/sync" => ok("{\"latest\":0,\"entries\":[]}"),
                                     _ => ok("{\"ok\":true}"),
                                 };
                                 if conn.write_response(&reply).is_err() || reply.close {
@@ -820,27 +643,45 @@ mod tests {
             }
         }
 
-        /// Runs a worker on `store` against this coordinator until `done`
-        /// holds of what it saw (or 60 s pass), then stops both.
-        fn drive(self, base: EvalConfig, store: ResultStore, done: fn(&Seen) -> bool) -> Seen {
+        /// Runs a worker on `store` that heartbeats every `heartbeat`
+        /// against this coordinator until `done` holds of what it saw (or
+        /// 60 s pass), then stops both. Returns what the coordinator saw,
+        /// the worker's metrics and how long the worker took to stop.
+        fn drive(
+            self,
+            base: EvalConfig,
+            store: ResultStore,
+            heartbeat: Duration,
+            done: fn(&Seen) -> bool,
+        ) -> (Seen, Arc<MetricsRegistry>, Duration) {
             let mut cfg = WorkerConfig::new(self.addr.clone(), base, store);
-            cfg.heartbeat = Duration::from_millis(50);
+            cfg.heartbeat = heartbeat;
             cfg.idle_poll = Duration::from_millis(20);
-            let handle = spawn_worker(cfg, Arc::new(MetricsRegistry::new()));
-            let deadline = std::time::Instant::now() + Duration::from_secs(60);
+            let registry = Arc::new(MetricsRegistry::new());
+            let handle = spawn_worker(cfg, registry.clone());
+            let deadline = Instant::now() + Duration::from_secs(60);
             while !done(&self.seen.lock().unwrap()) {
                 assert!(
-                    std::time::Instant::now() < deadline,
+                    Instant::now() < deadline,
                     "the scripted exchange never finished"
                 );
                 std::thread::sleep(Duration::from_millis(10));
             }
+            let stopping = Instant::now();
             handle.stop();
             handle.join();
+            let stopping = stopping.elapsed();
             self.stop.store(true, Ordering::Relaxed);
             self.accept.join().expect("accept loop");
-            std::mem::take(&mut *self.seen.lock().unwrap())
+            let seen = std::mem::take(&mut *self.seen.lock().unwrap());
+            (seen, registry, stopping)
         }
+    }
+
+    const HEARTBEAT: Duration = Duration::from_millis(50);
+
+    fn accept_all(_: usize) -> Response {
+        Response::json(200, "{\"ok\":true}".to_string())
     }
 
     /// An empty store in a fresh temporary directory.
@@ -861,6 +702,118 @@ mod tests {
         (base, key)
     }
 
+    /// Drives the full worker loop against a scripted coordinator: join,
+    /// lease one real (tiny) cell, push the computed result back, idle.
+    /// The pushed payload is the cell the worker saved in its own store.
+    #[test]
+    fn worker_loop_executes_a_lease_and_pushes_the_result() {
+        let (base, key) = tiny_cell();
+        let wire = WireConfig::of(&base);
+        let coordinator = ScriptedCoordinator::start(key, wire, accept_all);
+        let store = temp_store("loop");
+        let (seen, registry, _) = coordinator.drive(base, store.clone(), HEARTBEAT, |seen| {
+            seen.completes.len() == 1
+        });
+        let hex = seen.completes[0]
+            .split("\"payload\":\"")
+            .nth(1)
+            .and_then(|s| s.split('"').next())
+            .expect("payload field");
+        let pushed = cell_payload_from_hex(hex).expect("payload decodes");
+        let store_key = StoreKey::for_cell(
+            &wire.apply(&base),
+            &CoreConfig::dsn2016(),
+            &CacheGeometry::dsn_l1(),
+            &key,
+        );
+        assert_eq!(store.load(&store_key), Some(pushed));
+        assert_eq!(registry.counter("cluster.worker.units.completed"), 1);
+        assert!(seen.fails.is_empty(), "{:?}", seen.fails);
+        let _ = std::fs::remove_dir_all(store.dir());
+    }
+
+    /// A stop wakes threads parked between heartbeats: a worker whose
+    /// heartbeat period is a minute still stops within a second.
+    #[test]
+    fn stop_wakes_a_worker_parked_between_heartbeats() {
+        let (base, key) = tiny_cell();
+        let coordinator = ScriptedCoordinator::start(key, WireConfig::of(&base), accept_all);
+        let store = temp_store("stop");
+        let minute = Duration::from_secs(60);
+        let (_, _, stopping) = coordinator.drive(base, store.clone(), minute, |seen| {
+            seen.completes.len() == 1
+        });
+        let _ = std::fs::remove_dir_all(store.dir());
+        assert!(
+            stopping < Duration::from_secs(1),
+            "stopping took {stopping:?}"
+        );
+    }
+
+    /// The ids of this process's threads whose kernel name is `comm`.
+    #[cfg(target_os = "linux")]
+    fn threads_named(comm: &str) -> Vec<String> {
+        let tasks = std::fs::read_dir("/proc/self/task").expect("the task list");
+        tasks
+            .filter_map(|task| {
+                let tid = task.ok()?.file_name().into_string().ok()?;
+                let name = std::fs::read_to_string(format!("/proc/self/task/{tid}/comm")).ok()?;
+                (name.trim_end() == comm).then_some(tid)
+            })
+            .collect()
+    }
+
+    /// How often thread `tid` of this process has blocked so far.
+    #[cfg(target_os = "linux")]
+    fn voluntary_switches(tid: &str) -> u64 {
+        let status = std::fs::read_to_string(format!("/proc/self/task/{tid}/status"))
+            .expect("the thread's status");
+        status
+            .lines()
+            .find_map(|line| line.strip_prefix("voluntary_ctxt_switches:"))
+            .and_then(|count| count.trim().parse().ok())
+            .expect("a voluntary_ctxt_switches line")
+    }
+
+    /// An idle lane's heartbeat thread parks until its next beat (every
+    /// `lease_ttl / 5`, one second by default) instead of waking every
+    /// few milliseconds. It is found by its name, which the kernel keeps
+    /// to 15 bytes.
+    #[cfg(target_os = "linux")]
+    #[test]
+    fn an_idle_lanes_heartbeat_thread_sleeps_between_beats() {
+        let coordinator = Arc::new(Coordinator::new(
+            ClusterConfig::default(),
+            EvalConfig::quick(),
+            None,
+            Arc::new(MetricsRegistry::new()),
+        ));
+        let comm = &"dvs-lane-heartbeat"[..15];
+        let before = threads_named(comm);
+        let lane = spawn_lane(coordinator.clone(), Arc::new(MetricsRegistry::new()));
+        let deadline = Instant::now() + Duration::from_secs(5);
+        let tid = loop {
+            if let Some(tid) = threads_named(comm)
+                .into_iter()
+                .find(|t| !before.contains(t))
+            {
+                break tid;
+            }
+            assert!(Instant::now() < deadline, "no thread named {comm:?}");
+            std::thread::sleep(Duration::from_millis(10));
+        };
+        let start = voluntary_switches(&tid);
+        std::thread::sleep(Duration::from_secs(1));
+        let woke = voluntary_switches(&tid) - start;
+        coordinator.drain();
+        lane.stop();
+        lane.join();
+        assert!(
+            woke <= 5,
+            "the idle heartbeat thread blocked {woke} times in 1 s"
+        );
+    }
+
     /// A 408 left on the idle main connection by the coordinator's read
     /// timeout answers no request: the worker sends its result again on
     /// a fresh connection instead of dropping it.
@@ -875,7 +828,9 @@ mod tests {
             }
         });
         let store = temp_store("stale-408");
-        let seen = coordinator.drive(base, store.clone(), |seen| seen.completes.len() == 2);
+        let (seen, _, _) = coordinator.drive(base, store.clone(), HEARTBEAT, |seen| {
+            seen.completes.len() == 2
+        });
         let _ = std::fs::remove_dir_all(store.dir());
         assert_eq!(seen.completes[0], seen.completes[1]);
         assert_ne!(seen.complete_conns[0], seen.complete_conns[1]);
@@ -891,7 +846,9 @@ mod tests {
             Response::error(413, "request body exceeds 64 bytes").with_close()
         });
         let store = temp_store("refused-413");
-        let seen = coordinator.drive(base, store.clone(), |seen| !seen.fails.is_empty());
+        let (seen, _, _) = coordinator.drive(base, store.clone(), HEARTBEAT, |seen| {
+            !seen.fails.is_empty()
+        });
         let _ = std::fs::remove_dir_all(store.dir());
         assert_eq!(seen.completes.len(), 1);
         assert!(

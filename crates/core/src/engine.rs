@@ -44,80 +44,6 @@ use crate::eval::TrialMetrics;
 use crate::plan::CellKey;
 use crate::{DvfsPoint, EvalConfig};
 
-/// Process-wide gate bounding how many trials execute concurrently
-/// across *every* [`crate::Evaluator`] in the process (see
-/// [`EvalConfig::max_parallel_trials`]). Uncapped evaluators never touch
-/// the gate, so the default configuration pays nothing for it.
-struct TrialGate {
-    state: Mutex<GateState>,
-    cv: Condvar,
-}
-
-#[derive(Debug, Clone, Copy)]
-struct GateState {
-    active: usize,
-    high_water: usize,
-}
-
-static TRIAL_GATE: TrialGate = TrialGate {
-    state: Mutex::new(GateState {
-        active: 0,
-        high_water: 0,
-    }),
-    cv: Condvar::new(),
-};
-
-impl TrialGate {
-    /// Blocks until fewer than `limit` trials are active process-wide,
-    /// then reserves a slot. The slot is released when the returned
-    /// permit drops.
-    fn acquire(&'static self, limit: usize) -> GatePermit {
-        let limit = limit.max(1);
-        let mut state = self.state.lock().expect("trial gate lock poisoned");
-        while state.active >= limit {
-            state = self.cv.wait(state).expect("trial gate lock poisoned");
-        }
-        state.active += 1;
-        state.high_water = state.high_water.max(state.active);
-        GatePermit { gate: self }
-    }
-}
-
-struct GatePermit {
-    gate: &'static TrialGate,
-}
-
-impl Drop for GatePermit {
-    fn drop(&mut self) {
-        let mut state = self.gate.state.lock().expect("trial gate lock poisoned");
-        state.active -= 1;
-        drop(state);
-        self.gate.cv.notify_all();
-    }
-}
-
-/// Largest number of gated trials ever observed running at once in this
-/// process. Test instrumentation for the `max_parallel_trials` policy —
-/// only capped evaluators are counted.
-#[doc(hidden)]
-pub fn trial_gate_high_water() -> usize {
-    TRIAL_GATE
-        .state
-        .lock()
-        .expect("trial gate lock poisoned")
-        .high_water
-}
-
-/// Resets the high-water mark (test instrumentation).
-#[doc(hidden)]
-pub fn reset_trial_gate_high_water() {
-    TRIAL_GATE
-        .state
-        .lock()
-        .expect("trial gate lock poisoned")
-        .high_water = 0;
-}
-
 /// Per-benchmark immutable inputs, shared across cells and threads.
 pub(crate) struct BenchArtifacts {
     pub(crate) workload: Workload,
@@ -557,13 +483,6 @@ impl Drain<'_> {
             if self.cancelled() {
                 return;
             }
-            // Work from concurrently running evaluators contends for the
-            // same process-wide gate, so N campaigns cannot oversubscribe
-            // the machine with N x `threads` workers.
-            let _permit = self.cfg.max_parallel_trials.map(|n| TRIAL_GATE.acquire(n));
-            if self.cancelled() {
-                return;
-            }
             let cell = &self.cells[ci];
             let start = Instant::now();
             let prepared = prepare_trial(
@@ -597,7 +516,6 @@ impl Drain<'_> {
 
     /// Simulates one prepared trial and records its outcome.
     fn simulate(&self, job: Job, tally: &mut EngineStats, trace_buf: Option<&mut Vec<TraceOp>>) {
-        let _permit = self.cfg.max_parallel_trials.map(|n| TRIAL_GATE.acquire(n));
         if self.cancelled() {
             return;
         }
@@ -652,11 +570,7 @@ pub(crate) fn execute_cells(
     scope: DrainScope<'_>,
 ) -> Vec<TrialOutcomes> {
     let trials: u64 = cells.iter().map(|c| c.trials).sum();
-    let workers = cfg
-        .threads
-        .max(1)
-        .min(cfg.max_parallel_trials.unwrap_or(usize::MAX).max(1))
-        .min(trials.max(1) as usize);
+    let workers = cfg.threads.max(1).min(trials.max(1) as usize);
     let drain = Drain {
         cfg,
         core,

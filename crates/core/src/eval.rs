@@ -42,18 +42,14 @@ use crate::{DvfsPoint, Scheme};
 ///
 /// # Parallelism policy
 ///
-/// `threads` sizes the worker pool of **one** `run_plan` drain. A process
-/// running N evaluators concurrently (e.g. a `dvs-serve --join` node's
-/// lane beside its cluster worker) would otherwise commit N × `threads`
-/// workers; setting
-/// `max_parallel_trials` bounds the trials *actually executing at any
-/// instant across the whole process*, whatever the number of evaluators.
-/// Each worker reserves a slot on a process-wide gate before claiming a
-/// trial and releases it when the trial finishes, so the effective
-/// parallelism of one evaluator is `min(threads, max_parallel_trials)`
-/// and the process-wide total never exceeds the smallest cap any waiting
-/// evaluator requested. Like `threads`, the cap can never change results
-/// and is not part of the result-store key.
+/// `threads` sizes the worker pool of **one** `run_plan` drain, and so
+/// bounds the trials a process runs at once as long as it runs one plan
+/// at a time. Every process the workspace ships does: a figure binary
+/// runs its plans in turn, a `dvs-serve` node runs one plan at a time
+/// through its in-process lane, and a `--join` worker runs its leases
+/// one plan after another and refuses campaigns of its own. Like every
+/// parallelism knob, `threads` can never change results and is not part
+/// of the result-store key.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
 pub struct EvalConfig {
     /// Dynamic instructions simulated per trial.
@@ -69,11 +65,6 @@ pub struct EvalConfig {
     /// Worker threads for trial-level parallelism. Never affects results
     /// (and is therefore not part of the result-store key).
     pub threads: usize,
-    /// Process-wide cap on concurrently executing trials, shared by every
-    /// evaluator in the process (see the parallelism policy above), or
-    /// `None` for no cap. Never affects results and is not part of the
-    /// result-store key.
-    pub max_parallel_trials: Option<usize>,
     /// Run every successfully linked BBR image through the `dvs-analysis`
     /// lint registry before simulating it, surfacing any deny finding as
     /// [`EvalError::InvariantViolation`]. Purely a checking knob — it can
@@ -115,7 +106,6 @@ impl EvalConfig {
             seed: 42,
             bbr_max_block_words: None,
             threads: 8,
-            max_parallel_trials: None,
             validate_images: false,
             reuse_buffers: true,
             fault_model: dvs_sram::FaultModel::Iid,
@@ -140,7 +130,6 @@ impl EvalConfig {
             seed: 42,
             bbr_max_block_words: None,
             threads: 4,
-            max_parallel_trials: None,
             validate_images: true,
             reuse_buffers: true,
             fault_model: dvs_sram::FaultModel::Iid,
@@ -1415,53 +1404,6 @@ mod tests {
         let reopened = ResultStore::open(&dir).unwrap();
         assert_eq!(reopened.cell_count().unwrap(), 0);
         let _ = std::fs::remove_dir_all(&dir);
-    }
-
-    #[test]
-    fn max_parallel_trials_caps_concurrency_across_evaluators() {
-        // Two capped evaluators racing different cells must never have
-        // more than `cap` trials executing at once, process-wide.
-        crate::reset_trial_gate_high_water();
-        let cap = 1usize;
-        let cfg = EvalConfig {
-            max_parallel_trials: Some(cap),
-            threads: 4,
-            ..EvalConfig::quick()
-        };
-        std::thread::scope(|s| {
-            for bench in [Benchmark::Crc32, Benchmark::Adpcm] {
-                s.spawn(move || {
-                    let mut e = Evaluator::new(cfg);
-                    e.run(bench, Scheme::SimpleWdis, MilliVolts::new(480))
-                        .unwrap();
-                });
-            }
-        });
-        let high = crate::trial_gate_high_water();
-        assert!(high >= 1, "gated trials must have run");
-        assert!(
-            high <= cap,
-            "gate let {high} trials run under a cap of {cap}"
-        );
-
-        // The cap is policy, not physics: results are identical to an
-        // uncapped run, and the store key ignores it.
-        let mut capped = Evaluator::new(cfg);
-        let mut free = Evaluator::new(EvalConfig::quick());
-        let a = capped
-            .run(Benchmark::Crc32, Scheme::SimpleWdis, MilliVolts::new(480))
-            .unwrap();
-        let b = free
-            .run(Benchmark::Crc32, Scheme::SimpleWdis, MilliVolts::new(480))
-            .unwrap();
-        assert_eq!(a.trials, b.trials);
-        let key = CellKey::new(Benchmark::Crc32, Scheme::SimpleWdis, MilliVolts::new(480));
-        let core = CoreConfig::dsn2016();
-        let geom = CacheGeometry::dsn_l1();
-        assert_eq!(
-            StoreKey::for_cell(&cfg, &core, &geom, &key),
-            StoreKey::for_cell(&EvalConfig::quick(), &core, &geom, &key)
-        );
     }
 
     #[test]

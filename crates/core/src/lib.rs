@@ -48,8 +48,6 @@ pub mod transitions;
 
 pub use cancel::CancelToken;
 pub use dvfs::DvfsPoint;
-#[doc(hidden)]
-pub use engine::{reset_trial_gate_high_water, trial_gate_high_water};
 pub use engine::{EngineStats, Progress};
 pub use eval::{EvalConfig, EvalError, Evaluator, SchemeRun, TrialMetrics};
 pub use plan::{CellKey, ExperimentPlan};

@@ -170,10 +170,10 @@ pub struct StoredCell {
 }
 
 impl StoredCell {
-    /// Serializes the cell for transport (cluster result push / store
-    /// sync / the binary `GET /v1/results` content type), with a trailing
-    /// checksum so wire corruption reads as a decode failure rather than
-    /// wrong data.
+    /// Serializes the cell for transport (cluster result push, the binary
+    /// `GET /v1/results` content type and a worker's read-through), with
+    /// a trailing checksum so wire corruption reads as a decode failure
+    /// rather than wrong data.
     pub fn to_bytes(&self) -> Vec<u8> {
         let mut payload = Serializer::new();
         self.serialize(&mut payload);

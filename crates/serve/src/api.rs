@@ -139,9 +139,9 @@ impl CampaignSpec {
         ExperimentPlan::for_grid(&self.benchmarks, &self.schemes, &self.voltages)
     }
 
-    /// `base` with this spec's overrides applied. Parallelism knobs
-    /// (`threads`, `max_parallel_trials`) always come from `base`: they
-    /// are the operator's resources, not the client's.
+    /// `base` with this spec's overrides applied. The parallelism knob
+    /// (`threads`) always comes from `base`: it is the operator's
+    /// resources, not the client's.
     pub fn config(&self, base: &EvalConfig) -> EvalConfig {
         EvalConfig {
             maps: self.maps.unwrap_or(base.maps),

@@ -9,9 +9,9 @@
 //! Every node tracks its campaigns in a coordinator. Without `--cluster`
 //! an in-process lane runs them; `--cluster` leaves them to joined
 //! workers instead (campaigns shard into leased work units); `--join
-//! ADDR` runs the worker loop against a coordinator while still serving
-//! the local API (so any node answers `/v1/results` once its store has
-//! synced).
+//! ADDR` makes the node a worker of the coordinator at ADDR and nothing
+//! else: it refuses campaigns and reads a `/v1/results` query its own
+//! store misses through to the coordinator.
 
 use std::io::Write;
 use std::process::ExitCode;
@@ -27,7 +27,6 @@ const USAGE: &str = "usage: dvs-serve [options]
   --listen ADDR            bind address (default 127.0.0.1:7570; port 0 = ephemeral)
   --threads N              HTTP worker threads (default 4)
   --engine-threads N       worker threads per campaign (default: EvalConfig::standard)
-  --max-parallel-trials N  process-wide cap on concurrently executing trials
   --queue-depth N          campaigns that may wait for their first lease (default 8)
   --max-conns N            connections admitted at once (default 256)
   --store DIR              result-store directory (default: the store's default dir)
@@ -39,7 +38,8 @@ const USAGE: &str = "usage: dvs-serve [options]
   --timeout-ms N           per-connection read/write timeout (default 10000)
 cluster mode:
   --cluster                coordinate a worker fleet (campaigns shard into cells; needs a store)
-  --join ADDR              run as a worker of the coordinator at ADDR (needs a store)
+  --join ADDR              run as a worker of the coordinator at ADDR (needs a store;
+                           refuses campaigns, reads point-query misses through to ADDR)
   --worker-name NAME       name this worker reports (default worker-<pid>)
   --lease-ttl-ms N         coordinator: lease/worker TTL (default 5000)
   --steal-after-ms N       coordinator: duplicate-dispatch threshold (default 3000)
@@ -94,10 +94,6 @@ fn parse(mut args: impl Iterator<Item = String>) -> Result<Option<Options>, Stri
             }
             "--engine-threads" => {
                 opts.base.threads = int("--engine-threads", value("--engine-threads")?)? as usize;
-            }
-            "--max-parallel-trials" => {
-                opts.base.max_parallel_trials =
-                    Some(int("--max-parallel-trials", value("--max-parallel-trials")?)? as usize);
             }
             "--queue-depth" => {
                 opts.cluster_cfg.queue_depth =
@@ -192,7 +188,7 @@ fn run(opts: Options) -> Result<(), String> {
     ));
     let role = match (opts.cluster, &opts.join) {
         (true, _) => Role::Coordinator,
-        (false, Some(_)) => Role::Worker,
+        (false, Some(coordinator)) => Role::Worker(coordinator.clone()),
         (false, None) => Role::Single,
     };
     let server = Server::bind(

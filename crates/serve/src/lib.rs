@@ -6,10 +6,10 @@
 //!
 //! | Route | Purpose |
 //! |---|---|
-//! | `POST /v1/campaigns` | submit an experiment grid; `429` past the bounded queue |
+//! | `POST /v1/campaigns` | submit an experiment grid; `429` past the bounded queue, `404` on a cluster worker |
 //! | `GET /v1/campaigns` | list campaigns and their states |
 //! | `GET /v1/campaigns/{id}` | poll one campaign's status/progress/results |
-//! | `GET /v1/results?...` | point query answered straight from the [`dvs_core::ResultStore`] |
+//! | `GET /v1/results?...` | point query answered straight from the [`dvs_core::ResultStore`]; a cluster worker reads a miss through to its coordinator |
 //! | `GET /v1/metrics` | the [`dvs_obs`] metrics snapshot (text or JSON) |
 //! | `GET /v1/healthz` | liveness probe |
 //! | `POST /v1/admin/shutdown` | graceful drain and exit |
@@ -24,7 +24,9 @@
 //! node runs one, and a node that does not coordinate a cluster runs its
 //! campaigns through an in-process lane ([`dvs_cluster::spawn_lane`]) that
 //! leases and completes them by direct call, so bounded admission, drain,
-//! status and results take one path for zero or N workers.
+//! status and results take one path for zero or N workers. A cluster
+//! worker node runs no campaigns of its own, so no process runs two
+//! engines.
 //! Everything observable flows through `serve.*` and `cluster.*` metrics
 //! on a shared [`dvs_obs::MetricsRegistry`].
 

@@ -3,8 +3,11 @@
 //! The accept thread pushes connections onto a shared queue drained by
 //! `http_threads` workers; a connection cap turns excess peers away
 //! with `503` before they consume a worker. Every campaign route goes to
-//! the node's one [`Coordinator`]; unless the node coordinates a cluster,
-//! its in-process lane ([`spawn_lane`]) runs the campaigns. Shutdown is
+//! the node's one [`Coordinator`]. A single node runs its campaigns
+//! through its in-process lane ([`spawn_lane`]), a cluster coordinator
+//! leaves them to remote workers, and a worker node refuses them: it
+//! answers point queries its own store misses by reading through to its
+//! coordinator, the one copy of every result. Shutdown is
 //! graceful by construction: `POST /v1/admin/shutdown` answers first,
 //! then stops the accept loop, lets the workers finish their current
 //! requests, drains the coordinator (unfinished campaigns are cancelled;
@@ -20,11 +23,10 @@ use std::time::{Duration, Instant};
 
 use dvs_cluster::http::{HttpConn, Request, RequestError, Response, DEFAULT_MAX_BODY_BYTES};
 use dvs_cluster::proto::{
-    cell_json, cell_payload_from_hex, cell_payload_to_hex, cell_to_json, stored_cell_result,
-    UnitRef,
+    cell_json, cell_payload_from_hex, cell_to_json, stored_cell_result, UnitRef,
 };
-use dvs_cluster::{spawn_lane, Coordinator, SubmitError, WireConfig, WorkerHandle};
-use dvs_core::{CellKey, Scheme};
+use dvs_cluster::{spawn_lane, Coordinator, HttpClient, SubmitError, WireConfig, WorkerHandle};
+use dvs_core::{CellKey, Scheme, StoredCell};
 use dvs_obs::json::Value;
 use dvs_obs::{MetricsRegistry, Recorder};
 use dvs_sram::MilliVolts;
@@ -63,24 +65,24 @@ impl Default for ServerConfig {
 }
 
 /// A node's part in a deployment; `/v1/healthz` reports its name.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub enum Role {
     /// Runs its campaigns through the in-process lane.
     Single,
     /// Serves `/v1/cluster/*` and leaves its campaigns to remote workers.
     Coordinator,
-    /// Runs the worker loop against a remote coordinator; campaigns
-    /// submitted to the node itself run through its lane, as on a single
-    /// node.
-    Worker,
+    /// Runs the worker loop against the coordinator at this address
+    /// (`host:port`). It refuses campaigns, and reads a point query its
+    /// own store misses through to the coordinator.
+    Worker(String),
 }
 
 impl Role {
-    fn name(self) -> &'static str {
+    fn name(&self) -> &'static str {
         match self {
             Role::Single => "single",
             Role::Coordinator => "coordinator",
-            Role::Worker => "worker",
+            Role::Worker(_) => "worker",
         }
     }
 }
@@ -99,10 +101,10 @@ struct Shared {
     local_addr: SocketAddr,
     /// Process start, for the health uptime.
     started: Instant,
-    /// The in-process lane of a node that is not a coordinator. The first
-    /// accepted campaign starts it: started with the server, its threads
-    /// delay a fresh daemon's first answer (serve_mixed `setup_s` read
-    /// +29 % over 10 alternating pairs).
+    /// The in-process lane of a single node. The first accepted campaign
+    /// starts it: started with the server, its threads delay a fresh
+    /// daemon's first answer (serve_mixed `setup_s` read +29 % over 10
+    /// alternating pairs).
     lane: Mutex<Option<WorkerHandle>>,
 }
 
@@ -321,7 +323,16 @@ fn route(shared: &Arc<Shared>, req: &Request) -> Response {
     let c = &shared.coordinator;
     match (req.method.as_str(), req.path.as_str()) {
         ("GET", "/v1/healthz") => healthz(shared),
-        ("POST", "/v1/campaigns") => submit_campaign(shared, req),
+        ("POST", "/v1/campaigns") => match &shared.role {
+            Role::Worker(coordinator) => Response::error(
+                404,
+                &format!(
+                    "this node is a cluster worker; submit campaigns to its coordinator at \
+                     {coordinator}"
+                ),
+            ),
+            _ => submit_campaign(shared, req),
+        },
         ("GET", "/v1/campaigns") => Response::json(200, c.list_json(Instant::now())),
         ("GET", path) if path.starts_with("/v1/campaigns/") => {
             let id = &path["/v1/campaigns/".len()..];
@@ -338,7 +349,7 @@ fn route(shared: &Arc<Shared>, req: &Request) -> Response {
             Role::Coordinator => cluster_route(c, method, path, req),
             _ => Response::error(404, "this node is not a cluster coordinator"),
         },
-        ("GET", "/v1/results") => store_query(c, req),
+        ("GET", "/v1/results") => store_query(shared, req),
         ("GET", "/v1/metrics") => {
             let snapshot = shared.registry.snapshot();
             if req.query_param("format") == Some("json") {
@@ -369,7 +380,7 @@ fn submit_campaign(shared: &Shared, req: &Request) -> Response {
     let wire = WireConfig::of(&spec.config(c.base()));
     match c.submit(wire, &spec.plan()) {
         Ok(id) => {
-            if shared.role != Role::Coordinator {
+            if shared.role == Role::Single {
                 let mut lane = shared.lane.lock().expect("lane lock");
                 lane.get_or_insert_with(|| spawn_lane(c.clone(), shared.registry.clone()));
             }
@@ -386,7 +397,8 @@ fn submit_campaign(shared: &Shared, req: &Request) -> Response {
     }
 }
 
-fn store_query(c: &Coordinator, req: &Request) -> Response {
+fn store_query(shared: &Shared, req: &Request) -> Response {
+    let c = &shared.coordinator;
     let benchmark = match req.query_param("benchmark").map(Benchmark::parse) {
         Some(Some(b)) => b,
         Some(None) => return Response::error(400, "unknown benchmark"),
@@ -427,7 +439,16 @@ fn store_query(c: &Coordinator, req: &Request) -> Response {
         ..base
     };
     let key = CellKey::new(benchmark, scheme, vcc);
-    let Some(cell) = c.load(&wire, &key) else {
+    let cell = match (c.load(&wire, &key), &shared.role) {
+        (None, Role::Worker(coordinator)) => {
+            match read_through(coordinator, shared.cfg.read_timeout, &wire, &key) {
+                Ok(cell) => cell,
+                Err(bad_gateway) => return bad_gateway,
+            }
+        }
+        (cell, _) => cell,
+    };
+    let Some(cell) = cell else {
         return Response::error(404, "no stored result for this cell at these settings");
     };
     // `Accept: application/octet-stream` selects the cell's canonical
@@ -440,6 +461,39 @@ fn store_query(c: &Coordinator, req: &Request) -> Response {
     } else {
         Response::json(200, cell_json(&key, &stored_cell_result(&key, cell)))
     }
+}
+
+/// Asks the coordinator at `addr` for the stored cell `key` under
+/// `wire`, every setting explicit, in its binary encoding: `Ok(None)`
+/// when the coordinator has none, a `502` naming it when it cannot
+/// answer. The fault model and split threshold are not query parameters;
+/// every node takes them from the same base config.
+fn read_through(
+    addr: &str,
+    timeout: Duration,
+    wire: &WireConfig,
+    key: &CellKey,
+) -> Result<Option<StoredCell>, Response> {
+    let path = format!(
+        "/v1/results?benchmark={}&scheme={}&vcc_mv={}&maps={}&trace_instrs={}&seed={}",
+        key.benchmark.name(),
+        key.scheme.name(),
+        key.vcc_mv,
+        wire.maps,
+        wire.trace_instrs,
+        wire.seed,
+    );
+    let accept = [("Accept", "application/octet-stream")];
+    let why = match HttpClient::new(addr, timeout).request("GET", &path, &accept, b"") {
+        Ok(reply) if reply.status == 404 => return Ok(None),
+        Ok(reply) if reply.status == 200 => match StoredCell::from_bytes(&reply.body) {
+            Some(cell) => return Ok(Some(cell)),
+            None => "answered a cell that does not decode".to_string(),
+        },
+        Ok(reply) => format!("answered {}", reply.status),
+        Err(e) => format!("did not answer: {e:?}"),
+    };
+    Err(Response::error(502, &format!("coordinator {addr} {why}")))
 }
 
 fn healthz(shared: &Arc<Shared>) -> Response {
@@ -577,33 +631,6 @@ fn cluster_route(c: &Coordinator, method: &str, path: &str, req: &Request) -> Re
                 Ok(()) => Response::json(200, "{\"ok\":true}".into()),
                 Err(e) => Response::error(404, &e),
             }
-        }
-        ("GET", "/v1/cluster/sync") => {
-            let after = req
-                .query_param("after")
-                .and_then(|s| s.parse::<u64>().ok())
-                .unwrap_or(0);
-            let limit = req
-                .query_param("limit")
-                .and_then(|s| s.parse::<usize>().ok())
-                .unwrap_or(64)
-                .clamp(1, 256);
-            let (entries, latest) = c.sync_since(after, limit);
-            let mut out = format!("{{\"latest\":{latest},\"entries\":[");
-            for (i, e) in entries.iter().enumerate() {
-                if i > 0 {
-                    out.push(',');
-                }
-                out.push_str(&format!(
-                    "{{\"seq\":{},\"config\":{},\"cell\":{},\"payload\":\"{}\"}}",
-                    e.seq,
-                    e.wire.to_json(),
-                    cell_to_json(&e.key),
-                    cell_payload_to_hex(&e.cell),
-                ));
-            }
-            out.push_str("]}");
-            Response::json(200, out)
         }
         ("GET", "/v1/cluster/workers") => {
             let mut out = String::from("[");

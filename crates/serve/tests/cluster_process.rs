@@ -7,9 +7,9 @@
 //! 1. **Speedup** — the same 10-cell sweep runs on 1 worker and then on
 //!    3 workers (different voltage so nothing is answered from a warm
 //!    store); the 3-worker run must be meaningfully faster.
-//! 2. **Convergence** — once idle, every worker has tailed the
-//!    coordinator's sync log and answers `GET /v1/results` for cells it
-//!    never computed itself.
+//! 2. **Read-through** — every worker answers `GET /v1/results` for
+//!    cells it never computed itself, by asking the coordinator, with the
+//!    coordinator's exact bytes.
 //! 3. **Node death** — a worker is SIGKILLed mid-campaign; lease expiry
 //!    requeues its in-flight cells and the campaign still completes.
 //! 4. **Byte-identity** — both the healthy and the post-kill campaigns
@@ -25,7 +25,7 @@ use dvs_cluster::HttpClient;
 use dvs_obs::json::Value;
 
 /// Engine flags shared by every node: results are keyed on these, so
-/// all four daemons must agree for stores and sync to line up. The
+/// all four daemons must agree for stores and read-through to line up. The
 /// trace length is sized so a sweep takes seconds — per-cell compute
 /// must dominate lease/poll overhead or the speedup phase is noise.
 const ENGINE_FLAGS: [&str; 8] = [
@@ -211,27 +211,20 @@ fn await_workers(coordinator: &str, n: usize) {
     }
 }
 
-/// Polls a worker's store-backed point query until the cell answers ok
-/// (the sync log is tailed on the worker's idle path, so this needs a
-/// grace period).
-fn await_synced_cell(worker: &str, benchmark: &str, vcc_mv: u32) {
+/// Asserts that a worker's point query for one cell answers at once,
+/// with the coordinator's exact body.
+fn assert_answers_as_coordinator(worker: &str, coordinator: &str, benchmark: &str, vcc_mv: u32) {
     let path = format!("/v1/results?benchmark={benchmark}&scheme=defect-free&vcc_mv={vcc_mv}");
-    let started = Instant::now();
-    loop {
-        let (status, body) = request(worker, "GET", &path, None);
-        if status == 200 && body.contains("\"status\":\"ok\"") {
-            return;
-        }
-        assert!(
-            started.elapsed() < Duration::from_secs(30),
-            "worker {worker} never synced {benchmark}@{vcc_mv}: {status} {body}"
-        );
-        std::thread::sleep(Duration::from_millis(100));
-    }
+    let (status, want) = request(coordinator, "GET", &path, None);
+    assert_eq!(status, 200, "coordinator {benchmark}@{vcc_mv}: {want}");
+    assert!(want.contains("\"status\":\"ok\""), "{want}");
+    let (status, got) = request(worker, "GET", &path, None);
+    assert_eq!(status, 200, "worker {worker} {benchmark}@{vcc_mv}: {got}");
+    assert_eq!(got, want, "worker {worker} {benchmark}@{vcc_mv}");
 }
 
 #[test]
-fn cluster_converges_scales_and_survives_worker_death() {
+fn cluster_reads_through_scales_and_survives_worker_death() {
     // Each worker holds two keep-alive connections (requests and
     // heartbeats) and a keep-alive connection pins an HTTP thread, so
     // the coordinator's pool must be sized for the fleet.
@@ -303,9 +296,9 @@ fn cluster_converges_scales_and_survives_worker_death() {
         println!("only {cores} cores: skipping the speedup assertion");
     }
 
-    // Phase 2: convergence. w2 and w3 joined after the 760 mV campaign
-    // finished, so every 760 mV cell they answer arrived via the sync
-    // log, not their own evaluators.
+    // Phase 2: read-through. w2 and w3 joined after the 760 mV campaign
+    // finished, so every 760 mV cell they answer comes from the
+    // coordinator's store, not their own evaluators.
     let benchmarks = [
         "bzip2",
         "mcf",
@@ -320,7 +313,7 @@ fn cluster_converges_scales_and_survives_worker_death() {
     ];
     for worker in [&w1, &w2, &w3] {
         for b in benchmarks {
-            await_synced_cell(&worker.addr, b, 760);
+            assert_answers_as_coordinator(&worker.addr, &coordinator.addr, b, 760);
         }
     }
 

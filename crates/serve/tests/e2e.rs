@@ -517,6 +517,79 @@ fn routing_rejects_what_it_should_and_shutdown_is_clean() {
     server.shutdown();
 }
 
+/// A worker node holds no copy of what it did not compute: a point query
+/// its store misses reads through to its coordinator and answers the
+/// coordinator's exact bytes in either content type, a miss there is a
+/// miss here, and a coordinator that cannot answer is a 502. A worker
+/// refuses campaigns, and no node serves a sync log.
+#[test]
+fn a_worker_reads_through_to_its_coordinator_and_refuses_campaigns() {
+    let dirs = [
+        temp_dir("read-through-coord"),
+        temp_dir("read-through-worker"),
+    ];
+    let coordinator_store = ResultStore::open(&dirs[0]).expect("store opens");
+    Evaluator::new(tiny_base())
+        .with_store(coordinator_store.clone())
+        .run(Benchmark::Crc32, Scheme::FfwBbr, MilliVolts::new(600))
+        .expect("the stored cell computes");
+    let coordinator = TestServer::start(Role::Coordinator, 4, Some(coordinator_store));
+    let worker_store = ResultStore::open(&dirs[1]).expect("store opens");
+    let worker = TestServer::start(
+        Role::Worker(coordinator.addr.to_string()),
+        4,
+        Some(worker_store),
+    );
+
+    // The `+` of the scheme's name stays literal on both hops.
+    let stored = "/v1/results?benchmark=crc32&scheme=FFW+BBR&vcc_mv=600";
+    let binary = [("Accept", "application/octet-stream")];
+    for accept in [&[][..], &binary[..]] {
+        let (status, _, want) = request_bytes(coordinator.addr, "GET", stored, accept, b"");
+        assert_eq!(status, 200, "{}", String::from_utf8_lossy(&want));
+        let (status, headers, got) = request_bytes(worker.addr, "GET", stored, accept, b"");
+        assert_eq!(status, 200, "{}", String::from_utf8_lossy(&got));
+        assert_eq!(got, want, "the worker relays the coordinator's exact bytes");
+        let binary = !accept.is_empty();
+        assert_eq!(
+            header(&headers, "content-type"),
+            Some(if binary {
+                "application/octet-stream"
+            } else {
+                "application/json"
+            })
+        );
+    }
+    let missing = "/v1/results?benchmark=crc32&scheme=FFW+BBR&vcc_mv=480";
+    for node in [coordinator.addr, worker.addr] {
+        let (status, _, body) = request(node, "GET", missing, None);
+        assert_eq!(status, 404, "{body}");
+    }
+
+    let (status, _, body) = request(worker.addr, "POST", "/v1/campaigns", Some(QUICK));
+    assert_eq!(status, 404, "{body}");
+    assert!(
+        body.contains(&format!(
+            "submit campaigns to its coordinator at {}",
+            coordinator.addr
+        )),
+        "{body}"
+    );
+    assert_eq!(counter(worker.addr, "serve.campaigns.submitted"), 0.0);
+    let (status, _, body) = request(coordinator.addr, "GET", "/v1/cluster/sync", None);
+    assert_eq!(status, 404, "{body}");
+
+    let coordinator_addr = coordinator.addr;
+    coordinator.shutdown();
+    let (status, _, body) = request(worker.addr, "GET", stored, None);
+    assert_eq!(status, 502, "{body}");
+    assert!(body.contains(&coordinator_addr.to_string()), "{body}");
+    worker.shutdown();
+    for dir in dirs {
+        let _ = std::fs::remove_dir_all(dir);
+    }
+}
+
 /// A server with short fuses for the refusal tests: a 300 ms read
 /// timeout and a 64-byte body limit.
 fn refusing_server() -> TestServer {
