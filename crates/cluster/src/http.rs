@@ -19,7 +19,7 @@
 //! both the server and the cluster worker depend on.
 
 use std::io::{self, Read, Write};
-use std::net::TcpStream;
+use std::net::{TcpStream, ToSocketAddrs};
 use std::time::Duration;
 
 /// Upper bound on a message head: the start line, every header line and
@@ -42,6 +42,10 @@ pub const MAX_REPLY_BODY_BYTES: usize = 2 * 256 * DEFAULT_MAX_BODY_BYTES;
 
 /// Bytes asked of the transport per read.
 const READ_CHUNK: usize = 4096;
+
+/// How long [`HttpClient`] waits for the server to close a connection
+/// whose last reply said it would.
+const SERVER_CLOSE_WAIT: Duration = Duration::from_millis(100);
 
 /// One parsed HTTP request.
 #[derive(Debug, Clone)]
@@ -531,6 +535,12 @@ impl Reply {
 /// One client owns one connection. It reconnects lazily after any error
 /// or a `Connection: close` reply, so callers retry by simply calling
 /// again. Replies are read with the server's own limits.
+///
+/// After a `Connection: close` reply the client waits briefly for the
+/// server's close before closing its end. The side that closes first
+/// holds the connection's `TIME_WAIT` for a minute, and a client that
+/// opens one connection per request would otherwise hold one of its
+/// ephemeral ports per request.
 #[derive(Debug)]
 pub struct HttpClient {
     addr: String,
@@ -549,9 +559,10 @@ impl HttpClient {
         }
     }
 
-    /// Sends one request (`Host`, `Connection: keep-alive`, `headers`,
-    /// then `Content-Length`) and reads the whole reply. A reply of any
-    /// status is `Ok`.
+    /// Sends one request (`Host`, `Connection: keep-alive` unless
+    /// `headers` carry their own `Connection`, `headers`, then
+    /// `Content-Length`) and reads the whole reply. A reply of any status
+    /// is `Ok`.
     ///
     /// # Errors
     ///
@@ -567,7 +578,14 @@ impl HttpClient {
     ) -> Result<Reply, RequestError> {
         let result = self.exchange(method, path, headers, body);
         if !matches!(result, Ok((_, true))) {
-            self.conn = None;
+            let conn = self.conn.take();
+            if let (Ok(_), Some((mut stream, _))) = (&result, conn) {
+                // The server closes after this reply. Letting it close
+                // first leaves the connection's TIME_WAIT on the server,
+                // not on one of this host's ephemeral ports.
+                let _ = stream.set_read_timeout(Some(SERVER_CLOSE_WAIT));
+                let _ = stream.read(&mut [0]);
+            }
         }
         result.map(|(reply, _)| reply)
     }
@@ -580,7 +598,7 @@ impl HttpClient {
         body: &[u8],
     ) -> Result<(Reply, bool), RequestError> {
         if self.conn.is_none() {
-            let stream = TcpStream::connect(&self.addr).map_err(RequestError::Io)?;
+            let stream = self.connect().map_err(RequestError::Io)?;
             stream
                 .set_read_timeout(Some(self.timeout))
                 .map_err(RequestError::Io)?;
@@ -594,10 +612,25 @@ impl HttpClient {
         stream.write_all(&wire).map_err(RequestError::Io)?;
         read_message(stream, buf, MAX_REPLY_BODY_BYTES, "response").and_then(parse_reply)
     }
+
+    /// Connects to the first of the address's resolutions that answers
+    /// within the client's timeout, so a host that drops connection
+    /// attempts costs the timeout, not the kernel's SYN retries.
+    fn connect(&self) -> io::Result<TcpStream> {
+        let mut last = io::Error::new(io::ErrorKind::InvalidInput, "address resolves to nothing");
+        for addr in self.addr.to_socket_addrs()? {
+            match TcpStream::connect_timeout(&addr, self.timeout) {
+                Ok(stream) => return Ok(stream),
+                Err(e) => last = e,
+            }
+        }
+        Err(last)
+    }
 }
 
-/// Serializes one request: `Host`, `Connection: keep-alive`, `headers`,
-/// then `Content-Length`.
+/// Serializes one request: `Host`, `Connection: keep-alive` unless
+/// `headers` carry their own `Connection`, `headers`, then
+/// `Content-Length`.
 fn request_wire(
     method: &str,
     path: &str,
@@ -605,7 +638,13 @@ fn request_wire(
     headers: &[(&str, &str)],
     body: &[u8],
 ) -> Vec<u8> {
-    let head = format!("{method} {path} HTTP/1.1\r\nHost: {host}\r\nConnection: keep-alive\r\n");
+    let mut head = format!("{method} {path} HTTP/1.1\r\nHost: {host}\r\n");
+    if !headers
+        .iter()
+        .any(|(name, _)| name.eq_ignore_ascii_case("connection"))
+    {
+        head.push_str("Connection: keep-alive\r\n");
+    }
     let length = body.len().to_string();
     let all = headers
         .iter()

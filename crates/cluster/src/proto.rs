@@ -577,4 +577,17 @@ mod props {
             }
         }
     }
+
+    /// A multi-megabyte image whose trial count claims every byte left
+    /// decodes to `None`; its decoder reserves a bounded amount up front,
+    /// not the claimed count of in-memory trials (190 times the image).
+    #[test]
+    fn a_lying_trial_count_in_a_multi_megabyte_image_decodes_to_none() {
+        let bytes = cell(1, &vec![0; WORDS * 16_000]).to_bytes();
+        assert!(bytes.len() > 2 << 20, "{} bytes", bytes.len());
+        let mut payload = bytes[8..bytes.len() - 8].to_vec();
+        let left = payload.len() as u64 - 16;
+        payload[8..16].copy_from_slice(&left.to_le_bytes());
+        refused(&image(&payload)).unwrap();
+    }
 }

@@ -534,7 +534,8 @@ mod tests {
     use std::net::TcpListener;
 
     /// What a [`ScriptedCoordinator`] saw: the bodies of the worker's
-    /// `complete` and `fail` requests, and the connections it accepted.
+    /// `complete` and `fail` requests, the connections it accepted, and
+    /// every request that broke the script.
     #[derive(Default)]
     struct Seen {
         completes: Vec<String>,
@@ -543,12 +544,16 @@ mod tests {
         complete_conns: Vec<usize>,
         fails: Vec<String>,
         connections: usize,
+        unexpected: Vec<String>,
     }
 
     /// A fake coordinator serving each connection on its own thread, so
     /// the heartbeat connection never blocks the worker's main one. It
     /// joins worker 7, leases `cell` once, answers the n-th `complete`
-    /// (from 0) with `complete(n)` and records what it saw.
+    /// (from 0) with `complete(n)` and records what it saw. A join must
+    /// carry a name and every later request worker 7's id; any other
+    /// request, or one without them, is recorded as unexpected and drops
+    /// its connection, and [`ScriptedCoordinator::drive`] fails on it.
     struct ScriptedCoordinator {
         addr: String,
         seen: Arc<Mutex<Seen>>,
@@ -606,23 +611,34 @@ mod tests {
                                 };
                                 let body = String::from_utf8(req.body).unwrap();
                                 let ok = |json: &str| Response::json(200, json.to_string());
-                                let reply = match req.path.as_str() {
-                                    "/v1/cluster/join" => ok("{\"worker\":7}"),
-                                    "/v1/cluster/lease" if !leased.swap(true, Ordering::SeqCst) => {
-                                        ok(&lease)
+                                let reply = match (req.method.as_str(), req.path.as_str()) {
+                                    ("POST", "/v1/cluster/join") if body.contains("\"name\"") => {
+                                        Some(ok("{\"worker\":7}"))
                                     }
-                                    "/v1/cluster/lease" => ok("{\"units\":[]}"),
-                                    "/v1/cluster/complete" => {
+                                    ("POST", _) if !body.contains("\"worker\":7") => None,
+                                    ("POST", "/v1/cluster/heartbeat") => Some(ok("{\"ok\":true}")),
+                                    ("POST", "/v1/cluster/lease")
+                                        if !leased.swap(true, Ordering::SeqCst) =>
+                                    {
+                                        Some(ok(&lease))
+                                    }
+                                    ("POST", "/v1/cluster/lease") => Some(ok("{\"units\":[]}")),
+                                    ("POST", "/v1/cluster/complete") => {
                                         let mut seen = seen.lock().unwrap();
-                                        seen.completes.push(body);
+                                        seen.completes.push(body.clone());
                                         seen.complete_conns.push(number);
-                                        complete(seen.completes.len() - 1)
+                                        Some(complete(seen.completes.len() - 1))
                                     }
-                                    "/v1/cluster/fail" => {
-                                        seen.lock().unwrap().fails.push(body);
-                                        ok("{\"ok\":true}")
+                                    ("POST", "/v1/cluster/fail") => {
+                                        seen.lock().unwrap().fails.push(body.clone());
+                                        Some(ok("{\"ok\":true}"))
                                     }
-                                    _ => ok("{\"ok\":true}"),
+                                    _ => None,
+                                };
+                                let Some(reply) = reply else {
+                                    let request = format!("{} {} ({body})", req.method, req.path);
+                                    seen.lock().unwrap().unexpected.push(request);
+                                    return;
                                 };
                                 if conn.write_response(&reply).is_err() || reply.close {
                                     return;
@@ -647,6 +663,8 @@ mod tests {
         /// against this coordinator until `done` holds of what it saw (or
         /// 60 s pass), then stops both. Returns what the coordinator saw,
         /// the worker's metrics and how long the worker took to stop.
+        /// Panics as soon as the worker sends a request the script does
+        /// not expect.
         fn drive(
             self,
             base: EvalConfig,
@@ -660,7 +678,14 @@ mod tests {
             let registry = Arc::new(MetricsRegistry::new());
             let handle = spawn_worker(cfg, registry.clone());
             let deadline = Instant::now() + Duration::from_secs(60);
-            while !done(&self.seen.lock().unwrap()) {
+            loop {
+                {
+                    let seen = self.seen.lock().unwrap();
+                    assert!(seen.unexpected.is_empty(), "{:?}", seen.unexpected);
+                    if done(&seen) {
+                        break;
+                    }
+                }
                 assert!(
                     Instant::now() < deadline,
                     "the scripted exchange never finished"
@@ -674,6 +699,7 @@ mod tests {
             self.stop.store(true, Ordering::Relaxed);
             self.accept.join().expect("accept loop");
             let seen = std::mem::take(&mut *self.seen.lock().unwrap());
+            assert!(seen.unexpected.is_empty(), "{:?}", seen.unexpected);
             (seen, registry, stopping)
         }
     }
@@ -702,8 +728,9 @@ mod tests {
         (base, key)
     }
 
-    /// Drives the full worker loop against a scripted coordinator: join,
-    /// lease one real (tiny) cell, push the computed result back, idle.
+    /// Drives the full worker loop against a scripted coordinator: join
+    /// by name, lease one real (tiny) cell as worker 7, push the computed
+    /// result back, idle without any other request (no sync log to tail).
     /// The pushed payload is the cell the worker saved in its own store.
     #[test]
     fn worker_loop_executes_a_lease_and_pushes_the_result() {

@@ -468,6 +468,12 @@ fn store_query(shared: &Shared, req: &Request) -> Response {
 /// when the coordinator has none, a `502` naming it when it cannot
 /// answer. The fault model and split threshold are not query parameters;
 /// every node takes them from the same base config.
+///
+/// Each relay is one connection that the coordinator closes: the side
+/// that closes first keeps the connection's `TIME_WAIT`, so it sits on
+/// the coordinator's listening port instead of taking one of this node's
+/// ephemeral ports per query. A kept-alive connection would instead pin
+/// one coordinator HTTP thread per relaying thread between queries.
 fn read_through(
     addr: &str,
     timeout: Duration,
@@ -483,8 +489,11 @@ fn read_through(
         wire.trace_instrs,
         wire.seed,
     );
-    let accept = [("Accept", "application/octet-stream")];
-    let why = match HttpClient::new(addr, timeout).request("GET", &path, &accept, b"") {
+    let headers = [
+        ("Accept", "application/octet-stream"),
+        ("Connection", "close"),
+    ];
+    let why = match HttpClient::new(addr, timeout).request("GET", &path, &headers, b"") {
         Ok(reply) if reply.status == 404 => return Ok(None),
         Ok(reply) if reply.status == 200 => match StoredCell::from_bytes(&reply.body) {
             Some(cell) => return Ok(Some(cell)),

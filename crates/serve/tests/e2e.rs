@@ -12,7 +12,7 @@
 //! back to a raw `TcpStream` only for bytes no well-formed client sends.
 
 use std::io::{Read, Write};
-use std::net::{Shutdown, SocketAddr, TcpStream};
+use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream};
 use std::path::PathBuf;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
@@ -588,6 +588,97 @@ fn a_worker_reads_through_to_its_coordinator_and_refuses_campaigns() {
     for dir in dirs {
         let _ = std::fs::remove_dir_all(dir);
     }
+}
+
+/// A coordinator host that drops connection attempts costs a relayed
+/// point query the node's read timeout, not the kernel's minutes of SYN
+/// retries: the worker answers 502 within about `read_timeout`. The
+/// stand-in is a listener that never accepts, with its accept queue full.
+#[test]
+fn a_relay_to_a_coordinator_that_drops_connections_fails_within_the_read_timeout() {
+    let silent = TcpListener::bind("127.0.0.1:0").expect("bind");
+    let addr = silent.local_addr().expect("addr");
+    // The first attempt that times out shows the kernel drops new ones.
+    let mut queued = Vec::new();
+    loop {
+        match TcpStream::connect_timeout(&addr, Duration::from_millis(200)) {
+            Ok(stream) => queued.push(stream),
+            Err(e) if e.kind() == std::io::ErrorKind::TimedOut => break,
+            Err(e) => panic!("filling the accept queue: {e}"),
+        }
+        assert!(queued.len() <= 1024, "the accept queue never filled");
+    }
+    let read_timeout = Duration::from_millis(500);
+    let cfg = ServerConfig {
+        http_threads: 2,
+        read_timeout,
+        write_timeout: Duration::from_secs(5),
+        ..ServerConfig::default()
+    };
+    let worker = TestServer::start_with(
+        Role::Worker(addr.to_string()),
+        ClusterConfig::default(),
+        tiny_base(),
+        None,
+        cfg,
+    );
+    let started = Instant::now();
+    let query = "/v1/results?benchmark=crc32&scheme=FFW+BBR&vcc_mv=600";
+    let (status, _, body) = request(worker.addr, "GET", query, None);
+    let took = started.elapsed();
+    assert_eq!(status, 502, "{body}");
+    assert!(body.contains(&addr.to_string()), "{body}");
+    assert!(
+        took < read_timeout + Duration::from_millis(1500),
+        "the relay took {took:?}"
+    );
+    worker.shutdown();
+    drop((queued, silent));
+}
+
+/// Sockets of this host in `TIME_WAIT` toward TCP port `port`.
+#[cfg(target_os = "linux")]
+fn time_wait_toward(port: u16) -> usize {
+    let mut count = 0;
+    for table in ["/proc/net/tcp", "/proc/net/tcp6"] {
+        let Ok(table) = std::fs::read_to_string(table) else {
+            continue;
+        };
+        for line in table.lines().skip(1) {
+            let cols: Vec<&str> = line.split_whitespace().collect();
+            let remote = cols[2].rsplit(':').next().unwrap_or_default();
+            if cols[3] == "06" && u16::from_str_radix(remote, 16) == Ok(port) {
+                count += 1;
+            }
+        }
+    }
+    count
+}
+
+/// Each relayed point query is one connection that the coordinator
+/// closes first, so the connection's `TIME_WAIT` stays on the
+/// coordinator's listening port: a worker relaying many queries does not
+/// use up its ephemeral ports.
+#[cfg(target_os = "linux")]
+#[test]
+fn relayed_queries_leave_no_time_wait_on_the_worker() {
+    let coordinator = TestServer::start(Role::Coordinator, 4, None);
+    let worker = TestServer::start(Role::Worker(coordinator.addr.to_string()), 4, None);
+    let mut client = HttpClient::new(worker.addr.to_string(), Duration::from_secs(30));
+    let query = "/v1/results?benchmark=crc32&scheme=FFW+BBR&vcc_mv=600";
+    let relays = 50;
+    for _ in 0..relays {
+        let reply = client.request("GET", query, &[], b"").expect("query");
+        assert_eq!(reply.status, 404, "{:?}", reply.text());
+    }
+    let left = time_wait_toward(coordinator.addr.port());
+    assert!(
+        left < relays / 5,
+        "{left} of {relays} relays left TIME_WAIT on the worker"
+    );
+    drop(client);
+    worker.shutdown();
+    coordinator.shutdown();
 }
 
 /// A server with short fuses for the refusal tests: a 300 ms read
